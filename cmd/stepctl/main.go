@@ -361,7 +361,7 @@ func serve(args []string) error {
 	})
 	defer svc.Close()
 
-	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	srv := newServer(*addr, svc.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "stepctl: serving sweeps on http://%s (cache %s)\n", *addr, st.Dir())
@@ -385,6 +385,27 @@ func serve(args []string) error {
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	return srv.Shutdown(shutdownCtx)
+}
+
+// Connection timeouts for `stepctl serve`. Only reading a request's
+// headers and a keep-alive connection's idle time are bounded, so a
+// client that trickles its headers (or opens connections and never
+// uses them) cannot hold a connection forever. There is deliberately no
+// read or write timeout: long-polls (?wait=, lease polls) and event
+// streams legitimately keep a response open for minutes.
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
+// newServer returns the HTTP server `stepctl serve` runs h on.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
 }
 
 // workerCmd joins a serving coordinator as a remote sweep-point

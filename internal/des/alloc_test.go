@@ -129,3 +129,39 @@ func TestSelectAllocBudget(t *testing.T) {
 		t.Fatalf("select loop over %d elements: %.1f allocs/run, budget %.1f", 2*n, avg, budget)
 	}
 }
+
+// runShortLived simulates n processes that each sleep a few cycles and
+// exit, half of them after a one-element channel handoff: the per-run
+// cost is dominated by process setup and teardown, not by events.
+func runShortLived(n int) {
+	sim := New()
+	for i := 0; i+1 < n; i += 2 {
+		ch := NewChan[int](sim, "c", 1, 1)
+		ch.BindSender(sim.Spawn("src", func(p *Process) error {
+			p.Advance(Time(p.ID()%13 + 1))
+			ch.Send(p, p.ID())
+			return nil
+		}))
+		ch.BindRecver(sim.Spawn("dst", func(p *Process) error {
+			_, _ = ch.Recv(p)
+			return nil
+		}))
+	}
+	if _, err := sim.Run(); err != nil {
+		panic(err)
+	}
+}
+
+func TestPerProcessAllocBudget(t *testing.T) {
+	const n = 1000
+	runShortLived(n)
+	avg := testing.AllocsPerRun(5, func() { runShortLived(n) })
+	// About 4 allocations per process, all the test's own (the Process,
+	// its body closure, half a channel): after the warm-up run every
+	// process starts on a pooled coroutine. A fresh iter.Pull coroutine
+	// per process would add about 11, and the half-allocation margin
+	// catches any new per-process allocation in the engine.
+	if budget := 50.0 + 4.5*n; avg > budget {
+		t.Fatalf("%d short-lived processes: %.1f allocs/run (%.2f per process), budget %.1f", n, avg, avg/n, budget)
+	}
+}

@@ -16,7 +16,8 @@ const timeInf = ^Time(0)
 var errAborted = errors.New("des: simulation aborted")
 
 // Process is the handle a dataflow block uses to interact with virtual
-// time. All methods must be called from the process's own goroutine.
+// time. All methods must be called from the process's own goroutine
+// (its coroutine, under the sequential engine).
 type Process struct {
 	sim    *Simulation
 	id     int

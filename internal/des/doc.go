@@ -9,12 +9,24 @@
 // Two engines implement the same virtual-time semantics:
 //
 //   - The sequential engine (New, or NewWithWorkers(n) with n <= 1) runs
-//     exactly one process at a time; a central scheduler dispatches wake
-//     events in (time, sequence) order. This is the reference engine.
-//     Control moves by direct handoff: there is a single control token,
-//     and a blocking process resumes its successor as its own last
-//     action, so a scheduling step is one channel send, not a round trip
-//     through a scheduler goroutine.
+//     exactly one process at a time, dispatching wake events and
+//     Serialized requests in (time, sequence) order. This is the
+//     reference engine. Processes run as iter.Pull coroutines, and one
+//     hub loop inside Run resumes them: it picks the next event, resumes
+//     that process, and regains control when the process blocks (its
+//     blocking primitive records what it waits on and yields) or
+//     returns. A scheduling step is two coroutine switches, direct stack
+//     switches with no channel operation and no trip through the Go
+//     scheduler. Invariants: only the hub or the one resumed coroutine
+//     ever runs, so engine state needs no locks; the dispatch order is a
+//     pure function of the event heap, never of how the switching is
+//     done; and when Run returns no coroutine is left inside a process,
+//     because on an error or deadlock the hub resumes each live process
+//     once so it unwinds through an abort panic, and stops the coroutine
+//     of any process that blocked again while unwinding. A coroutine
+//     whose process returned goes idle in a package-wide pool and starts
+//     a later process, of this run or another, so a run does not pay a
+//     coroutine's setup per process.
 //
 //   - The parallel engine (NewWithWorkers(n) with n >= 2) is DAM-style
 //     conservative parallel simulation: every process owns a *local* clock
@@ -59,10 +71,14 @@
 // # Ownership and lifecycle
 //
 // Processes are plain Go functions; all Process methods must be called
-// from the process's own goroutine, between the start of its body and
-// its return. Run returns only after every process goroutine has exited
-// (normally, by error, or via the abort sweep after a failure), which is
-// what makes external storage recycling safe — see below.
+// from the process's own goroutine (its coroutine, under the sequential
+// engine), between the start of its body and its return. Run returns
+// only after every started process body has returned (normally, by
+// error, or via the abort sweep after a failure), which is what makes
+// external storage recycling safe — see below. Because the sequential
+// engine reuses coroutines across runs, and the runtime resumes a
+// coroutine only under the OS-thread lock state it was created with, Run
+// must not be called from a goroutine locked with runtime.LockOSThread.
 //
 // Channel ring storage is normally engine-allocated (NewChan), but a
 // caller may supply its own backing slices via NewChanOn to carve many
@@ -71,8 +87,8 @@
 // caller in turn must not touch or recycle the slabs until Run has
 // returned. The engine's own recycling is limited to storage with no
 // user-visible identity: pooled event-heap backing arrays (pointer
-// slots cleared before returning them to the pool) and the per-process
-// Select scratch buffer. Elements themselves are never recycled by this
-// package — whatever values flow through channels are owned by the
-// processes that sent them.
+// slots cleared before returning them to the pool), idle process
+// coroutines, and the per-process Select scratch buffer. Elements
+// themselves are never recycled by this package — whatever values flow
+// through channels are owned by the processes that sent them.
 package des

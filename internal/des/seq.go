@@ -4,6 +4,8 @@ package des
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 	"sync"
 )
 
@@ -21,13 +23,11 @@ const (
 type seqProc struct {
 	state   procState
 	episode uint64 // wait-episode counter; stale wake events are dropped
-	// resume carries the control token. It is buffered so the handoff
-	// never blocks the granting goroutine: at most one token exists in
-	// the whole simulation (whoever holds it is the only goroutine
-	// touching engine state).
-	resume  chan struct{}
 	aborted bool
 	serSeq  uint64
+	// co is the coroutine the process runs on, from its first dispatch
+	// to the end of the run.
+	co *seqCoro
 	// blockedVerb/blockedCh describe what the process is waiting for.
 	// Kept as a static verb plus an optional channel so blocking never
 	// allocates; the human-readable description is materialized only for
@@ -168,13 +168,13 @@ func (h *serHeap) popReq() serReq {
 // (time, sequence) order so simulations are bit-for-bit reproducible
 // regardless of goroutine scheduling.
 //
-// Control moves by direct handoff: the goroutine that finishes a step
-// selects the next event itself and resumes that process directly, so a
-// process switch costs one channel operation instead of a round-trip
-// through a central scheduler goroutine. Exactly one control token exists;
-// whoever holds it (a process goroutine, or run during startup/teardown)
-// is the only goroutine reading or writing engine state, which preserves
-// the one-at-a-time discipline without any locks.
+// Processes run as iter.Pull coroutines under one hub loop (run): the hub
+// picks the next event or Serialized request and resumes that process's
+// coroutine, and a blocking primitive records its wait state and yields
+// straight back to the hub. A coroutine switch is a direct stack switch
+// (runtime.coroswitch), not a channel wake-up through the Go scheduler.
+// Exactly one of the hub and the coroutines runs at any moment, so engine
+// state needs no locks.
 type seqEngine struct {
 	sim      *Simulation
 	nowT     Time
@@ -184,14 +184,108 @@ type seqEngine struct {
 	live     int
 	finish   Time
 	firstErr error
-	aborting bool
-	// done returns control to run (simulation complete, first error, or
-	// deadlock; and once per process during the abort sweep).
-	done chan struct{}
+	// spare holds the coroutines taken from coroPool for this run that no
+	// process has started on yet.
+	spare []*seqCoro
 }
 
 func newSeqEngine(s *Simulation) *seqEngine {
-	return &seqEngine{sim: s, done: make(chan struct{})}
+	return &seqEngine{sim: s}
+}
+
+// seqCoro is a process coroutine. It runs processes one after another:
+// when one returns, the coroutine parks idle, in coroPool once the run
+// is over, until a later run hands it the next process to start.
+type seqCoro struct {
+	p     *Process // the process being run; nil while idle
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+}
+
+func (c *seqCoro) body(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		runProc(c.p)
+		c.p = nil
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// runProc runs p's body to completion, converting a panic into the
+// process error.
+func runProc(p *Process) {
+	e := p.sim.eng.(*seqEngine)
+	p.seq.state = stateRunning
+	defer func() {
+		recoverAsError(p, recover())
+		e.finishProc(p)
+	}()
+	if p.seq.aborted {
+		panic(errAborted)
+	}
+	p.err = p.fn(p)
+}
+
+// coroPool keeps idle coroutines between runs, so a run starts its
+// processes on earlier runs' coroutines instead of paying iter.Pull's
+// setup (a goroutine and about 11 allocations) per process. An idle
+// coroutine is a parked goroutine whose stack the garbage collector
+// shrinks; maxIdleCoros bounds how many are kept (a full-resolution fig10
+// sweep on two harness workers parks about 7,000), and a coroutine
+// returned beyond it is stopped. A run takes and returns its coroutines
+// in one batch each, so concurrent runs do not contend per process.
+var coroPool struct {
+	sync.Mutex
+	idle []*seqCoro
+}
+
+const maxIdleCoros = 8192
+
+// takeCoros moves up to n idle coroutines from the top of coroPool to the
+// caller; resume uses them from the end of the returned slice.
+func takeCoros(n int) []*seqCoro {
+	coroPool.Lock()
+	defer coroPool.Unlock()
+	k := max(len(coroPool.idle)-n, 0)
+	cs := slices.Clone(coroPool.idle[k:])
+	clear(coroPool.idle[k:])
+	coroPool.idle = coroPool.idle[:k]
+	return cs
+}
+
+// returnCoros gives a finished run's idle coroutines back to coroPool:
+// the unused spares, then those its processes ran on in reverse spawn
+// order, so that the next run of the same program starts each process on
+// the coroutine it ran on before (their stacks and bookkeeping then sit
+// in memory in the order the run touches them). A coroutine still inside
+// a process (only when the hub itself panicked) is never pooled.
+// Coroutines beyond maxIdleCoros are stopped.
+func returnCoros(spare []*seqCoro, procs []*Process) {
+	var excess []*seqCoro
+	coroPool.Lock()
+	add := func(c *seqCoro) {
+		if len(coroPool.idle) < maxIdleCoros {
+			coroPool.idle = append(coroPool.idle, c)
+		} else {
+			excess = append(excess, c)
+		}
+	}
+	for _, c := range spare {
+		add(c)
+	}
+	for i := len(procs) - 1; i >= 0; i-- {
+		if c := procs[i].seq.co; c != nil && c.p == nil {
+			add(c)
+		}
+		procs[i].seq.co = nil
+	}
+	coroPool.Unlock()
+	for _, c := range excess {
+		c.stop()
+	}
 }
 
 func (e *seqEngine) now(p *Process) Time { return e.nowT }
@@ -201,27 +295,28 @@ func (e *seqEngine) schedule(at Time, p *Process, episode uint64) {
 	e.events.pushEvent(event{at: at, seq: e.seq, proc: p, episode: episode})
 }
 
-// yield transfers control to the next runnable process and blocks until
-// resumed.
+// yield parks the running process: it records the wait state and
+// suspends the coroutine back to the hub, which resumes it when its wake
+// event or Serialized turn is dispatched. A false return from the
+// coroutine yield means the hub is stopping the coroutine.
 func (e *seqEngine) yield(p *Process, verb string, ch *chanCore) {
 	sp := &p.seq
 	sp.episode++
 	sp.state = stateWaiting
 	sp.blockedVerb, sp.blockedCh = verb, ch
-	e.dispatch()
-	<-sp.resume
+	resumed := sp.co.yield(struct{}{})
 	sp.state = stateRunning
 	sp.blockedVerb, sp.blockedCh = "", nil
-	if sp.aborted {
+	if !resumed || sp.aborted {
 		panic(errAborted)
 	}
 }
 
-// dispatch hands the control token to the next runnable process, or back
-// to run when nothing can ever progress again. The caller must not touch
-// engine state after dispatch returns (control belongs to someone else).
-func (e *seqEngine) dispatch() {
-	var next *Process
+// pick pops the next runnable process — the earliest valid wake event,
+// or the first pending Serialized request when it is due no later — and
+// moves the clock to its time. It returns nil when nothing can ever
+// progress again (deadlock).
+func (e *seqEngine) pick() *Process {
 	haveEv := e.hasValidEventAtOrBefore(timeInf)
 	switch {
 	case haveEv && (len(e.pending) == 0 || e.events[0].at <= e.pending[0].t):
@@ -229,22 +324,15 @@ func (e *seqEngine) dispatch() {
 		if ev.at > e.nowT {
 			e.nowT = ev.at
 		}
-		next = ev.proc
+		return ev.proc
 	case len(e.pending) > 0:
 		r := e.pending.popReq()
 		if r.t > e.nowT {
 			e.nowT = r.t
 		}
-		next = r.p
-	default:
-		// No runnable process: deadlock.
-		if e.firstErr == nil {
-			e.firstErr = e.deadlockError()
-		}
-		e.done <- struct{}{}
-		return
+		return r.p
 	}
-	next.seq.resume <- struct{}{}
+	return nil
 }
 
 func (e *seqEngine) advance(p *Process, d Time) {
@@ -294,8 +382,8 @@ func (e *seqEngine) serialized(p *Process, fn func()) {
 }
 
 // hasValidEventAtOrBefore prunes stale heap tops and reports whether a
-// dispatchable event exists at or before t. Safe to call from whichever
-// goroutine holds the control token.
+// dispatchable event exists at or before t. Safe to call from the hub or
+// the running process (only one of them runs at a time).
 func (e *seqEngine) hasValidEventAtOrBefore(t Time) bool {
 	for len(e.events) > 0 {
 		top := e.events[0]
@@ -337,29 +425,37 @@ func (e *seqEngine) run() (Time, error) {
 		eventSlabPool.Put(&slab)
 		e.events = nil
 	}()
+	e.spare = takeCoros(len(e.sim.procs))
+	defer func() {
+		returnCoros(e.spare, e.sim.procs)
+		e.spare = nil
+	}()
 	// Seed: every process starts at time 0 in spawn order.
 	for _, p := range e.sim.procs {
-		p.seq.resume = make(chan struct{}, 1)
-		e.startProc(p)
 		e.schedule(0, p, 0)
 	}
 	e.live = len(e.sim.procs)
-	if e.live == 0 {
-		return 0, nil
-	}
-	e.dispatch()
-	<-e.done
-	// Abort any processes still alive (error or deadlock path). Control
-	// is back here, so every live process is parked; resume each with the
-	// abort flag set and wait for its finish notification.
-	e.aborting = true
-	for _, p := range e.sim.procs {
-		if p.seq.state == stateFinished {
-			continue
+	for e.live > 0 && e.firstErr == nil {
+		p := e.pick()
+		if p == nil {
+			e.firstErr = e.deadlockError()
+			break
 		}
-		p.seq.aborted = true
-		p.seq.resume <- struct{}{}
-		<-e.done
+		e.resume(p)
+	}
+	// Abort any started processes still alive (error or deadlock path):
+	// resume each once with the abort flag set so it unwinds through
+	// errAborted, and stop the coroutine of one that parked again while
+	// unwinding. A process that never started has nothing to unwind.
+	for _, p := range e.sim.procs {
+		if c := p.seq.co; c != nil && p.seq.state != stateFinished {
+			p.seq.aborted = true
+			c.next()
+			if p.seq.state != stateFinished {
+				c.stop()
+				p.seq.co = nil
+			}
+		}
 	}
 	if e.finish < e.nowT {
 		e.finish = e.nowT
@@ -367,24 +463,25 @@ func (e *seqEngine) run() (Time, error) {
 	return e.finish, e.firstErr
 }
 
-func (e *seqEngine) startProc(p *Process) {
-	go func() {
-		<-p.seq.resume
-		p.seq.state = stateRunning
-		defer func() {
-			recoverAsError(p, recover())
-			e.finishProc(p)
-		}()
-		if p.seq.aborted {
-			panic(errAborted)
+// resume runs p until it blocks or returns, starting it on a spare
+// coroutine (or a new one) at its first dispatch. The process keeps the
+// coroutine until the run ends, so returnCoros can order the pool.
+func (e *seqEngine) resume(p *Process) {
+	c := p.seq.co
+	if c == nil {
+		if n := len(e.spare); n > 0 {
+			c = e.spare[n-1]
+			e.spare = e.spare[:n-1]
+		} else {
+			c = new(seqCoro)
+			c.next, c.stop = iter.Pull(c.body)
 		}
-		p.err = p.fn(p)
-	}()
+		c.p, p.seq.co = p, c
+	}
+	c.next()
 }
 
-// finishProc retires a process and passes control on: to run when the
-// simulation is over (or aborting, or this process failed), otherwise to
-// the next runnable process.
+// finishProc retires a process and records the first process error.
 func (e *seqEngine) finishProc(p *Process) {
 	p.seq.state = stateFinished
 	e.live--
@@ -394,11 +491,6 @@ func (e *seqEngine) finishProc(p *Process) {
 	if p.err != nil && e.firstErr == nil {
 		e.firstErr = procError(p)
 	}
-	if e.aborting || e.firstErr != nil || e.live == 0 {
-		e.done <- struct{}{}
-		return
-	}
-	e.dispatch()
 }
 
 func (e *seqEngine) deadlockError() error {

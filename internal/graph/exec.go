@@ -220,7 +220,7 @@ func (g *Graph) run(cfg Config) (Result, error) {
 	// Channel depths are known up front, so every channel's ring storage is
 	// carved out of one pooled slab instead of three allocations per stream.
 	// The slab is released after the simulation has fully finished (all
-	// process goroutines joined inside sim.Run).
+	// process bodies returned inside sim.Run).
 	streamDepth := func(s *Stream) int {
 		if s.depth > 0 {
 			return s.depth
