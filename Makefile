@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check lint test race bench bench-smoke bench-json bench-sched sweep-smoke serve-smoke stream-smoke fabric-smoke examples-smoke cover check
+.PHONY: all build vet fmt fmt-check lint test race bench bench-smoke bench-json bench-sched sweep-smoke serve-smoke stream-smoke fabric-smoke perf-smoke examples-smoke cover check
 
 all: check
 
@@ -117,6 +117,13 @@ stream-smoke:
 fabric-smoke:
 	bash examples/fabric_smoke.sh
 
+# perf-smoke builds the benchmark module (perfbench, a separate Go
+# module that `go build ./...` never compiles) and runs its smoke test:
+# every workload at minimal length, both gate paths, and the agreement
+# between BENCHMARK.json, the program and its README.
+perf-smoke:
+	cd perfbench && $(GO) test ./...
+
 # cover is the full test suite run with a coverage profile plus a
 # whole-module summary; CI's test job runs it *in place of* `test`, so
 # coverage costs no second suite execution.
@@ -124,4 +131,4 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -n 1
 
-check: build vet fmt-check lint test race bench-smoke sweep-smoke serve-smoke stream-smoke fabric-smoke examples-smoke
+check: build vet fmt-check lint test race bench-smoke sweep-smoke serve-smoke stream-smoke fabric-smoke perf-smoke examples-smoke

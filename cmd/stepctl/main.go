@@ -411,14 +411,15 @@ func newServer(addr string, h http.Handler) *http.Server {
 // workerCmd joins a serving coordinator as a remote sweep-point
 // worker: it long-polls /work/lease, runs each leased point with the
 // same deterministic machinery `stepctl sweep` uses, and posts the raw
-// result back. Determinism makes the worker's -workers/-sim-workers
-// settings invisible in the result bytes. Runs until interrupted.
+// result back, running up to -workers points at once. Determinism
+// makes the worker's -workers/-sim-workers settings invisible in the
+// result bytes. Runs until interrupted.
 func workerCmd(args []string) error {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	var (
 		join       = fs.String("join", "", "coordinator base URL (e.g. http://host:8372)")
 		name       = fs.String("name", "", "worker label shown in GET /work/workers (default: hostname)")
-		workers    = fs.Int("workers", 0, "local harness workers per leased point (0 = one per CPU)")
+		workers    = fs.Int("workers", 0, "leased points run at once (0 = one per CPU)")
 		simWorkers = fs.Int("sim-workers", 0, "DES engine per simulation: 0/1 = sequential, >=2 = conservative parallel")
 	)
 	if err := fs.Parse(args); err != nil {

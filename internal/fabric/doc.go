@@ -19,9 +19,11 @@
 //
 // # Invariants
 //
-// Lease: a point is leased to at most one worker at a time. A lease
-// carries a TTL; the worker heartbeats while the simulation runs. A
-// lease whose TTL lapses (missed heartbeats — worker death, partition)
+// Lease: a point is leased to at most one worker at a time, but a
+// worker may hold several leases at once: RunWorker runs
+// WorkerOptions.Workers lease loops. Each lease carries its own TTL,
+// heartbeated on its own while that point's simulation runs. A lease
+// whose TTL lapses (missed heartbeats — worker death, partition)
 // is invalidated and its point re-dispatched: to another live worker,
 // or — when no live workers remain — back to the coordinator's local
 // executors via ErrNoWorkers, so a sweep never hangs on a dead fleet.

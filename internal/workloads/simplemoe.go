@@ -164,8 +164,10 @@ func buildSimpleExpert(g *graph.Graph, name string, cfg SimpleMoEConfig, in *gra
 }
 
 // flagToSelector converts a padding flag into a route: real rows go to
-// output 0, padded rows to output 1.
+// output 0, padded rows to output 1. Both selectors are built and boxed
+// once; consumers only read them.
 func flagToSelector() ops.MapFn {
+	var keep, drop element.Value = element.NewSelector(2, 0), element.NewSelector(2, 1)
 	return ops.MapFn{
 		Name: "flag-to-selector",
 		Apply: func(v element.Value) (element.Value, int64, error) {
@@ -174,9 +176,9 @@ func flagToSelector() ops.MapFn {
 				return nil, 0, fmt.Errorf("expected flag, got %T", v)
 			}
 			if f.B {
-				return element.NewSelector(2, 1), 0, nil
+				return drop, 0, nil
 			}
-			return element.NewSelector(2, 0), 0, nil
+			return keep, 0, nil
 		},
 		OutType: func(graph.DType) graph.DType { return graph.SelectorType{N: 2} },
 	}

@@ -3,6 +3,7 @@ package workloads
 import (
 	"testing"
 
+	"step/internal/element"
 	"step/internal/graph"
 	"step/internal/tile"
 )
@@ -101,5 +102,33 @@ func TestSimpleMoERejectsBadConfig(t *testing.T) {
 	cfg.WeightCols = 7
 	if _, err := BuildSimpleMoE(cfg); err == nil {
 		t.Fatal("expected divisibility error")
+	}
+}
+
+// TestFlagToSelectorAllocFree: the pad-drop map runs once per padded
+// row, so it hands out shared selectors instead of allocating one per
+// flag.
+func TestFlagToSelectorAllocFree(t *testing.T) {
+	fn := flagToSelector()
+	row, pad := element.Value(element.Flag{B: false}), element.Value(element.Flag{B: true})
+	for _, c := range []struct {
+		in   element.Value
+		want int
+	}{{row, 0}, {pad, 1}} {
+		out, _, err := fn.Apply(c.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, ok := out.(element.Selector)
+		if !ok || sel.N != 2 || len(sel.Indices) != 1 || sel.Indices[0] != c.want {
+			t.Fatalf("Apply(%v) = %v, want route to output %d", c.in, out, c.want)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		fn.Apply(row)
+		fn.Apply(pad)
+	})
+	if allocs != 0 {
+		t.Fatalf("Apply allocates %.1f times per call pair, want 0", allocs)
 	}
 }
