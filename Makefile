@@ -84,9 +84,9 @@ sweep-smoke:
 	$(GO) run ./cmd/stepctl sweep -spec examples/specs/mixed_serving.json
 	$(GO) run ./cmd/stepctl sweep -spec examples/specs/program_pipeline.json
 
-# examples-smoke builds and runs every example program, so API-shim
-# regressions (the deprecated Graph.Run path, the Program/Session API,
-# the program IR loader) surface in CI instead of on users.
+# examples-smoke builds and runs every example program, so regressions
+# in the public API (the Program/Session API, the program IR loader)
+# surface in CI instead of on users.
 examples-smoke:
 	@set -e; for d in examples/*/; do \
 		[ -f "$$d/main.go" ] || continue; \

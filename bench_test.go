@@ -8,13 +8,14 @@ import (
 	"step/internal/des"
 	"step/internal/element"
 	"step/internal/experiments"
+	"step/internal/harness"
 	"step/internal/trace"
 	"step/internal/workloads"
 )
 
 // benchSuite shrinks sweeps so each benchmark iteration stays fast while
 // still executing the full experiment pipeline.
-func benchSuite() experiments.Suite { return experiments.Suite{Seed: 7, Quick: true} }
+func benchSuite() harness.Suite { return harness.Suite{Seed: 7, Quick: true} }
 
 // runExperiment executes one paper artifact per iteration.
 func runExperiment(b *testing.B, id string) {
@@ -100,7 +101,7 @@ func BenchmarkSuiteParallel(b *testing.B) {
 }
 
 // BenchmarkRunAll measures the whole-registry fan-out behind
-// cmd/experiments: all fourteen artifacts at Workers=1 vs all cores.
+// stepctl exp: all fourteen artifacts at Workers=1 vs all cores.
 func BenchmarkRunAll(b *testing.B) {
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
@@ -108,7 +109,7 @@ func BenchmarkRunAll(b *testing.B) {
 			s.Workers = w
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, oc := range experiments.RunAll(s, experiments.All()) {
+				for _, oc := range experiments.RunAll(s, experiments.All(), nil) {
 					if oc.Err != nil {
 						b.Fatalf("%s: %v", oc.Runner.ID, oc.Err)
 					}
@@ -192,7 +193,7 @@ func BenchmarkEngineCompare(b *testing.B) {
 				}
 				cfg := DefaultConfig()
 				cfg.SimWorkers = w
-				if _, err := l.Graph.Run(cfg); err != nil {
+				if _, err := l.Program.Run(WithConfig(cfg)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -213,7 +214,7 @@ func BenchmarkEngineCompare(b *testing.B) {
 				}
 				cfg := DefaultConfig()
 				cfg.SimWorkers = w
-				if _, err := a.Graph.Run(cfg); err != nil {
+				if _, err := a.Program.Run(WithConfig(cfg)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -293,7 +294,7 @@ func BenchmarkMoELayerSimulation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := l.Graph.Run(DefaultConfig()); err != nil {
+		if _, err := l.Program.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -313,7 +314,7 @@ func BenchmarkAttentionSimulation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := a.Graph.Run(DefaultConfig()); err != nil {
+		if _, err := a.Program.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -328,7 +329,7 @@ func BenchmarkSimpleMoE(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := moe.Graph.Run(DefaultConfig()); err != nil {
+		if _, err := moe.Program.Run(); err != nil {
 			b.Fatal(err)
 		}
 		if element.CountData(moe.Output.Elements()) == 0 {
@@ -339,8 +340,8 @@ func BenchmarkSimpleMoE(b *testing.B) {
 
 // BenchmarkCompileOnceRunMany measures the payoff of the Program API's
 // build/run split: one compiled MoE-layer program run repeatedly
-// (fresh engine state per run) against the legacy rebuild-per-point
-// shape where every run reconstructs the whole graph first.
+// (fresh engine state per run) against the rebuild-per-point shape
+// where every run reconstructs the whole graph first.
 func BenchmarkCompileOnceRunMany(b *testing.B) {
 	m := workloads.Qwen3Config().Scaled(8)
 	routing, err := trace.SampleExpertRouting(64, m.NumExperts, m.TopK, trace.SkewHeavy, 7)

@@ -257,7 +257,7 @@ func sweep(args []string) error {
 	}
 
 	return withProfiles(*cpuProfile, *memProfile, func() error {
-		suite := experiments.Suite{Seed: *seed, Quick: *quick, Workers: *workers, SimWorkers: *simWorkers}
+		suite := harness.Suite{Seed: *seed, Quick: *quick, Workers: *workers, SimWorkers: *simWorkers}
 		start := time.Now()
 		tb, err := scenario.RunStream(sp, suite, sink)
 		if err != nil {
@@ -544,6 +544,8 @@ func exp(args []string) error {
 	fs := flag.NewFlagSet("exp", flag.ExitOnError)
 	var (
 		fig        = fs.String("fig", "", "run a single experiment by ID (empty = all)")
+		list       = fs.Bool("list", false, "list experiment IDs and exit")
+		out        = fs.String("out", "", "directory to write one CSV per experiment into")
 		seed       = fs.Uint64("seed", 7, "trace seed")
 		quick      = fs.Bool("quick", false, "shrink sweeps for a fast run")
 		workers    = fs.Int("workers", 0, "parallel sweep workers (0 = one per CPU, 1 = sequential)")
@@ -554,6 +556,12 @@ func exp(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *list {
+		for _, r := range experiments.All() {
+			fmt.Printf("%-8s %s\n", r.ID, r.Desc)
+		}
+		return nil
 	}
 	if *schedStats {
 		col := &step.SchedCollector{}
@@ -571,21 +579,40 @@ func exp(args []string) error {
 	if *fig != "" {
 		r, ok := experiments.Lookup(*fig)
 		if !ok {
-			return fmt.Errorf("unknown experiment %q", *fig)
+			return fmt.Errorf("unknown experiment %q (use -list)", *fig)
 		}
 		runners = []experiments.Runner{r}
 	}
-	return withProfiles(*cpuProfile, *memProfile, func() error {
-		suite := experiments.Suite{Seed: *seed, Quick: *quick, Workers: *workers, SimWorkers: *simWorkers}
-		failed := 0
-		for _, oc := range experiments.RunAll(suite, runners) {
-			if oc.Err != nil {
-				fmt.Fprintf(os.Stderr, "stepctl: %s: %v\n", oc.Runner.ID, oc.Err)
-				failed++
-				continue
-			}
-			fmt.Println(oc.Table.String())
+	failed := 0
+	report := func(oc experiments.Outcome) {
+		if oc.Err != nil {
+			fmt.Fprintf(os.Stderr, "stepctl: %s: %v\n", oc.Runner.ID, oc.Err)
+			failed++
+			return
 		}
+		fmt.Println(oc.Table.String())
+		fmt.Printf("   (%.1fs)\n\n", oc.Elapsed.Seconds())
+		if err := writeCSV(*out, oc.Table.ID, oc.Table.CSV()); err != nil {
+			fmt.Fprintf(os.Stderr, "stepctl: %s: %v\n", oc.Runner.ID, err)
+			failed++
+		}
+	}
+	return withProfiles(*cpuProfile, *memProfile, func() error {
+		suite := harness.Suite{Seed: *seed, Quick: *quick, Workers: *workers, SimWorkers: *simWorkers}
+		// Stream results in registry order: an outcome prints as soon as
+		// everything before it has printed, so long parallel runs show
+		// progress and the output is stable across worker counts
+		// (timings aside).
+		pending := make([]*experiments.Outcome, len(runners))
+		printed := 0
+		experiments.RunAll(suite, runners, func(oc experiments.Outcome) {
+			pending[oc.Index] = &oc
+			for printed < len(pending) && pending[printed] != nil {
+				report(*pending[printed])
+				pending[printed] = nil
+				printed++
+			}
+		})
 		if failed > 0 {
 			return fmt.Errorf("%d experiment(s) failed", failed)
 		}
@@ -606,10 +633,11 @@ func demo() error {
 	if err != nil {
 		return err
 	}
-	res, err := moe.Graph.Run(step.DefaultConfig())
+	sess, err := moe.Program.Run()
 	if err != nil {
 		return err
 	}
+	res := sess.Result
 	rows, err := moe.OutputRows()
 	if err != nil {
 		return err
@@ -664,10 +692,11 @@ func moe(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := layer.Graph.Run(step.DefaultConfig())
+	sess, err := layer.Program.Run()
 	if err != nil {
 		return err
 	}
+	res := sess.Result
 	onchip, err := layer.OnchipBytes()
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 
 	"step/internal/element"
 	"step/internal/graph"
+	"step/internal/harness"
 	"step/internal/hbm"
 	"step/internal/hdlsim"
 	"step/internal/onchip"
@@ -17,8 +18,8 @@ import (
 )
 
 // Table1 reproduces the qualitative abstraction-landscape table.
-func Table1() *Table {
-	t := &Table{
+func Table1() *harness.Table {
+	t := &harness.Table{
 		ID:     "table1",
 		Title:  "Landscape of programming abstractions for SDAs",
 		Header: []string{"Abstraction", "DataFlow", "ExplicitDataRate", "ExplicitMemHierarchy", "DynRouting&Merging", "DynOnchipTiling"},
@@ -33,8 +34,8 @@ func Table1() *Table {
 }
 
 // Figure1 regenerates the effective-bandwidth bars.
-func Figure1() *Table {
-	t := &Table{
+func Figure1() *harness.Table {
+	t := &harness.Table{
 		ID:     "fig1",
 		Title:  "Effective HBM bandwidth, SDAs vs GPUs (TB/s)",
 		Header: []string{"Model", "Batch", "Platform", "PeakTB/s", "EffectiveTB/s", "FracOfPeak"},
@@ -48,7 +49,7 @@ func Figure1() *Table {
 
 // fig8Config is the validation hardware setup (§4.5): on-chip memory units
 // at 256 B/cycle.
-func fig8Config(s Suite) graph.Config {
+func fig8Config(s harness.Suite) graph.Config {
 	cfg := s.GraphConfig()
 	cfg.Onchip = onchip.Config{BandwidthBytesPerCycle: 256}
 	return cfg
@@ -57,8 +58,8 @@ func fig8Config(s Suite) graph.Config {
 // Figure8 sweeps SwiGLU tile sizes and compares the STeP simulator against
 // the fine-grained physical-tile reference, reporting cycles, traffic, and
 // the Pearson correlation (the paper reports 0.99 against its HDL model).
-func Figure8(s Suite) (*Table, error) {
-	t := &Table{
+func Figure8(s harness.Suite) (*harness.Table, error) {
+	t := &harness.Table{
 		ID:     "fig8",
 		Title:  "SwiGLU validation: STeP simulator vs fine-grained reference",
 		Header: []string{"TileSize(B,H,I)", "STePCycles", "RefCycles", "TrafficMB", "RefTrafficMB"},
@@ -74,10 +75,11 @@ func Figure8(s Suite) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := sw.Graph.Run(fig8Config(s))
+			sess, err := sw.Program.Run(graph.WithConfig(fig8Config(s)))
 			if err != nil {
 				return nil, err
 			}
+			res := sess.Result
 			ref, err := hdlsim.Simulate(hdlsim.Config{
 				Batch: 64, Hidden: 256, Inter: 512,
 				BatchTile: bt, InterTile: it,
@@ -121,8 +123,8 @@ func pearson(x, y []float64) float64 {
 // Figure18 demonstrates the hierarchical-tiling transformation: the
 // physical-granularity graph computes the same result as the large-tile
 // Map node, with its cycle cost.
-func Figure18(s Suite) (*Table, error) {
-	t := &Table{
+func Figure18(s harness.Suite) (*harness.Table, error) {
+	t := &harness.Table{
 		ID:     "fig18",
 		Title:  "Hierarchical tiling: large-tile map vs transformed graph",
 		Header: []string{"Variant", "Cycles", "OutputTiles", "MatchesReference"},
@@ -165,18 +167,23 @@ func Figure18(s Suite) (*Table, error) {
 			}
 			out = ops.Map2(g, "atb", aS, bS, fn, ops.ComputeOpts{ComputeBW: 1024})
 		}
-		cap := ops.Capture(g, "cap", out)
-		res, err := g.Run(s.GraphConfig())
+		ops.Capture(g, "cap", out)
+		prog, err := g.Compile()
 		if err != nil {
 			return 0, nil, err
 		}
+		sess, err := prog.Run(graph.WithConfig(s.GraphConfig()))
+		if err != nil {
+			return 0, nil, err
+		}
+		es, _ := sess.Captured("cap")
 		var tiles []*tile.Tile
-		for _, e := range cap.Elements() {
+		for _, e := range es {
 			if e.IsData() {
 				tiles = append(tiles, e.Value.(element.TileVal).T)
 			}
 		}
-		return uint64(res.Cycles), tiles, nil
+		return uint64(sess.Result.Cycles), tiles, nil
 	}
 	check := func(tiles []*tile.Tile) bool {
 		if len(tiles) != tLen {

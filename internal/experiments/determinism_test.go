@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"step/internal/harness"
 	"step/internal/scenario"
 )
 
@@ -16,7 +17,7 @@ func scenarioFamilyRunners() []Runner {
 	for _, sp := range specs {
 		sp := sp
 		out = append(out, Runner{ID: sp.ID, Desc: sp.Title,
-			Run: func(s Suite) (*Table, error) { return scenario.Run(sp, s) }})
+			Run: func(s harness.Suite) (*harness.Table, error) { return scenario.Run(sp, s) }})
 	}
 	return out
 }
@@ -43,11 +44,11 @@ func TestWorkersDeterminism(t *testing.T) {
 		}
 		t.Run(r.ID, func(t *testing.T) {
 			t.Parallel()
-			seq, err := r.Run(Suite{Seed: 7, Quick: true, Workers: 1})
+			seq, err := r.Run(harness.Suite{Seed: 7, Quick: true, Workers: 1})
 			if err != nil {
 				t.Fatalf("Workers=1: %v", err)
 			}
-			par, err := r.Run(Suite{Seed: 7, Quick: true, Workers: 8})
+			par, err := r.Run(harness.Suite{Seed: 7, Quick: true, Workers: 8})
 			if err != nil {
 				t.Fatalf("Workers=8: %v", err)
 			}
@@ -68,8 +69,8 @@ func TestRunAllDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("covered per-experiment by TestWorkersDeterminism")
 	}
-	seq := RunAll(Suite{Seed: 7, Quick: true, Workers: 1}, All())
-	par := RunAll(Suite{Seed: 7, Quick: true, Workers: 8}, All())
+	seq := RunAll(harness.Suite{Seed: 7, Quick: true, Workers: 1}, All(), nil)
+	par := RunAll(harness.Suite{Seed: 7, Quick: true, Workers: 8}, All(), nil)
 	if len(seq) != len(par) {
 		t.Fatalf("outcome counts differ: %d vs %d", len(seq), len(par))
 	}
@@ -108,11 +109,11 @@ func TestSimWorkersDeterminism(t *testing.T) {
 		}
 		t.Run(r.ID, func(t *testing.T) {
 			t.Parallel()
-			seq, err := r.Run(Suite{Seed: 7, Quick: true, Workers: 1, SimWorkers: 1})
+			seq, err := r.Run(harness.Suite{Seed: 7, Quick: true, Workers: 1, SimWorkers: 1})
 			if err != nil {
 				t.Fatalf("SimWorkers=1: %v", err)
 			}
-			par, err := r.Run(Suite{Seed: 7, Quick: true, Workers: 1, SimWorkers: 8})
+			par, err := r.Run(harness.Suite{Seed: 7, Quick: true, Workers: 1, SimWorkers: 8})
 			if err != nil {
 				t.Fatalf("SimWorkers=8: %v", err)
 			}

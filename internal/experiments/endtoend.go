@@ -4,6 +4,7 @@ import (
 	"math"
 	"strconv"
 
+	"step/internal/harness"
 	"step/internal/scenario"
 	"step/internal/trace"
 	"step/internal/workloads"
@@ -15,9 +16,9 @@ import (
 // pool allows). The matched static tile sizes are derived from the batch-64
 // tiling sweep, mirroring the paper's methodology ("the same closest points
 // along each axis from Fig. 9").
-func Figure17(s Suite) (*Table, error) {
+func Figure17(s harness.Suite) (*harness.Table, error) {
 	s = s.EnsurePool()
-	t := &Table{
+	t := &harness.Table{
 		ID:     "fig17",
 		Title:  "End-to-end decoder: speedup, on-chip memory, allocated compute",
 		Header: []string{"Model", "Schedule", "CyclesTotal", "Speedup", "OnchipBytes", "AllocComputeFLOPs/cyc"},
@@ -38,8 +39,8 @@ func Figure17(s Suite) (*Table, error) {
 	}
 	// Fan the models out on the pool; inside each, the tiling sweep and
 	// the three decoder schedules fan out in turn.
-	runs, err := parMap(s, len(bases), func(mi int) (modelRun, error) {
-		model := bases[mi].Scaled(ExperimentScale)
+	runs, err := harness.ParMap(s, len(bases), func(mi int) (modelRun, error) {
+		model := bases[mi].Scaled(scenario.ExperimentScale)
 		// Derive matched tile sizes from the tiling sweep.
 		static, dyn, err := scenario.TilingSweep(s, model, batch, []int{8, 16, 32, 64}, -1)
 		if err != nil {
@@ -60,7 +61,7 @@ func Figure17(s Suite) (*Table, error) {
 			{MoETile: perfTile, AttnStrategy: workloads.StaticInterleaved},
 			{MoEDynamic: true, MoERegions: dynRegions, AttnStrategy: workloads.DynamicParallel},
 		}
-		results, err := parMap(s, len(schedules), func(i int) (workloads.DecoderResult, error) {
+		results, err := harness.ParMap(s, len(schedules), func(i int) (workloads.DecoderResult, error) {
 			cfg := schedules[i]
 			cfg.Model = model
 			cfg.Batch = batch

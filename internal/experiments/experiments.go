@@ -1,46 +1,32 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation: one function per artifact, each producing the same
-// rows/series the paper reports, runnable from the CLI
-// (cmd/experiments), from benchmarks (bench_test.go), or programmatically.
+// rows/series the paper reports, runnable from the CLI (`stepctl exp`),
+// from benchmarks (bench_test.go), or programmatically.
 //
-// The rendering (Table) and fan-out (Suite, worker pool) substrate lives
-// in internal/harness and is shared with the declarative scenario
-// subsystem (internal/scenario); the pure-sweep figures (9, 10, 15, 19,
-// 20) are registered here as canned scenario specs so one code path
-// serves both the paper registry and user-defined sweeps.
+// Rendering (harness.Table) and fan-out (harness.Suite, its worker pool,
+// harness.ParMap) live in internal/harness and are shared with the
+// declarative scenario subsystem (internal/scenario); the pure-sweep
+// figures (9, 10, 15, 19, 20) are registered here as canned scenario
+// specs so one code path serves both the paper registry and
+// user-defined sweeps.
 package experiments
 
 import (
 	"step/internal/harness"
 )
 
-// Table is a rendered experiment result (see harness.Table).
-type Table = harness.Table
-
-// Suite configures a run of the experiment set (see harness.Suite).
-type Suite = harness.Suite
-
-// DefaultSuite is the reproducible default.
-func DefaultSuite() Suite { return Suite{Seed: 7} }
-
-// parMap fans fn(0..n-1) out on the suite's shared worker pool; see
-// harness.ParMap.
-func parMap[T any](s Suite, n int, fn func(int) (T, error)) ([]T, error) {
-	return harness.ParMap(s, n, fn)
-}
-
 // Runner is an experiment entry point.
 type Runner struct {
 	ID   string
 	Desc string
-	Run  func(Suite) (*Table, error)
+	Run  func(harness.Suite) (*harness.Table, error)
 }
 
 // All returns every experiment in paper order.
 func All() []Runner {
 	return []Runner{
-		{"table1", "Landscape of programming abstractions for SDAs", func(s Suite) (*Table, error) { return Table1(), nil }},
-		{"fig1", "SDA vs GPU effective bandwidth (roofline reconstruction)", func(s Suite) (*Table, error) { return Figure1(), nil }},
+		{"table1", "Landscape of programming abstractions for SDAs", func(s harness.Suite) (*harness.Table, error) { return Table1(), nil }},
+		{"fig1", "SDA vs GPU effective bandwidth (roofline reconstruction)", func(s harness.Suite) (*harness.Table, error) { return Figure1(), nil }},
 		{"fig8", "Simulator validation vs fine-grained reference (SwiGLU tile sweep)", Figure8},
 		{"fig9", "Dynamic tiling Pareto, batch 64", Figure9},
 		{"fig10", "Dynamic tiling Pareto, batch 1024", Figure10},

@@ -4,10 +4,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"step/internal/harness"
 )
 
 // quickSuite is the short-mode configuration used by most tests.
-func quickSuite() Suite { return Suite{Seed: 7, Quick: true} }
+func quickSuite() harness.Suite { return harness.Suite{Seed: 7, Quick: true} }
 
 func TestAllRunnersRegistered(t *testing.T) {
 	want := []string{"table1", "fig1", "fig8", "fig9", "fig10", "fig12",
@@ -30,7 +32,7 @@ func TestAllRunnersRegistered(t *testing.T) {
 }
 
 func TestTableRendering(t *testing.T) {
-	tb := &Table{ID: "x", Title: "T", Header: []string{"a", "b"}}
+	tb := &harness.Table{ID: "x", Title: "T", Header: []string{"a", "b"}}
 	tb.AddRow(1, 2.5)
 	tb.Notef("note %d", 3)
 	if !strings.Contains(tb.CSV(), "a,b\n1,2.5\n") {

@@ -3,6 +3,8 @@ package experiments
 import (
 	"math"
 
+	"step/internal/graph"
+	"step/internal/harness"
 	"step/internal/scenario"
 	"step/internal/trace"
 	"step/internal/workloads"
@@ -10,7 +12,7 @@ import (
 
 // runAttention measures one attention configuration. coarseBlock > 0
 // fixes the per-region block size for the coarse strategy.
-func runAttention(s Suite, model workloads.ModelConfig, kv []int, strategy workloads.ParallelStrategy, micro []int, coarseBlock int) (uint64, error) {
+func runAttention(s harness.Suite, model workloads.ModelConfig, kv []int, strategy workloads.ParallelStrategy, micro []int, coarseBlock int) (uint64, error) {
 	a, err := workloads.BuildAttention(workloads.AttentionConfig{
 		Model:        model,
 		KVLens:       kv,
@@ -23,28 +25,28 @@ func runAttention(s Suite, model workloads.ModelConfig, kv []int, strategy workl
 	if err != nil {
 		return 0, err
 	}
-	res, err := a.Graph.Run(s.GraphConfig())
+	sess, err := a.Program.Run(graph.WithConfig(s.GraphConfig()))
 	if err != nil {
 		return 0, err
 	}
-	return uint64(res.Cycles), nil
+	return uint64(sess.Result.Cycles), nil
 }
 
 // Figure14 compares dynamic parallelization against static interleaved
 // across KV-length variance classes at batch 64.
-func Figure14(s Suite) (*Table, error) {
+func Figure14(s harness.Suite) (*harness.Table, error) {
 	s = s.EnsurePool()
-	t := &Table{
+	t := &harness.Table{
 		ID:     "fig14",
 		Title:  "Dynamic parallelization vs static interleaved (batch=64)",
 		Header: []string{"KVVariance", "InterleavedCycles", "DynamicCycles", "Speedup"},
 	}
-	model := workloads.Qwen3Config().Scaled(ExperimentScale)
+	model := workloads.Qwen3Config().Scaled(scenario.ExperimentScale)
 	classes := []trace.VarianceClass{trace.VarLow, trace.VarMed, trace.VarHigh}
 	type pair struct{ ic, dc uint64 }
 	// Each variance class needs two independent simulations: fan both
 	// strategies of every class out on the pool.
-	pairs, err := parMap(s, 2*len(classes), func(i int) (uint64, error) {
+	pairs, err := harness.ParMap(s, 2*len(classes), func(i int) (uint64, error) {
 		kv := trace.SampleKVLengths(64, 2048, classes[i/2], s.Seed)
 		strategy := workloads.StaticInterleaved
 		if i%2 == 1 {
@@ -68,21 +70,21 @@ func Figure14(s Suite) (*Table, error) {
 // fixes 16 requests per region regardless of batch, so small batches
 // leave regions idle (§5.4). The sweep is a pure batch-by-strategy
 // grid, registered as a canned scenario spec.
-func Figure15(s Suite) (*Table, error) {
+func Figure15(s harness.Suite) (*harness.Table, error) {
 	return scenario.Run(scenario.Fig15(), s)
 }
 
 // Figure21 is the parallelization ablation: all three strategies across
 // batch compositions and variance classes, normalized to dynamic, geomean
 // over three sampled batches.
-func Figure21(s Suite) (*Table, error) {
+func Figure21(s harness.Suite) (*harness.Table, error) {
 	s = s.EnsurePool()
-	t := &Table{
+	t := &harness.Table{
 		ID:     "fig21",
 		Title:  "Parallelization ablation (normalized cycles vs dynamic)",
 		Header: []string{"Batch", "KVVariance", "Coarse/Dyn", "Interleaved/Dyn"},
 	}
-	model := workloads.Qwen3Config().Scaled(ExperimentScale)
+	model := workloads.Qwen3Config().Scaled(scenario.ExperimentScale)
 	type batchSpec struct {
 		name  string
 		sizes []int
@@ -97,7 +99,7 @@ func Figure21(s Suite) (*Table, error) {
 	// Each (batch composition, variance class) cell is an independent
 	// geomean over its samples: fan the cells out on the pool and render
 	// rows afterwards in grid order.
-	cells, err := parMap(s, len(specs)*len(classes), func(idx int) (cell, error) {
+	cells, err := harness.ParMap(s, len(specs)*len(classes), func(idx int) (cell, error) {
 		spec := specs[idx/len(classes)]
 		class := classes[idx%len(classes)]
 		total := 0

@@ -5,6 +5,8 @@ import (
 	"runtime/debug"
 	"sync"
 	"time"
+
+	"step/internal/harness"
 )
 
 // Outcome is the result of one registered experiment run by RunAll.
@@ -12,7 +14,7 @@ type Outcome struct {
 	// Index is the runner's position in the input slice.
 	Index   int
 	Runner  Runner
-	Table   *Table // nil when Err is set
+	Table   *harness.Table // nil when Err is set
 	Err     error
 	Elapsed time.Duration
 }
@@ -22,19 +24,15 @@ type Outcome struct {
 // when another fails — errors are reported per Outcome so a broken
 // experiment cannot mask the rest of the evaluation — and outcomes are
 // returned in input order regardless of completion order.
-func RunAll(s Suite, runners []Runner) []Outcome {
-	return RunAllProgress(s, runners, nil)
-}
-
-// RunAllProgress is RunAll with streaming: when progress is non-nil it
-// is invoked once per experiment as each finishes, in completion order,
-// serialized so the callback needs no locking. Elapsed is wall-clock
-// time, so under a shared pool it includes contention with concurrently
-// running experiments.
-func RunAllProgress(s Suite, runners []Runner, progress func(Outcome)) []Outcome {
+//
+// When progress is non-nil it is invoked once per experiment as each
+// finishes, in completion order, serialized so the callback needs no
+// locking. Elapsed is wall-clock time, so under a shared pool it
+// includes contention with concurrently running experiments.
+func RunAll(s harness.Suite, runners []Runner, progress func(Outcome)) []Outcome {
 	s = s.EnsurePool()
 	var reportMu sync.Mutex
-	out, err := parMap(s, len(runners), func(i int) (Outcome, error) {
+	out, err := harness.ParMap(s, len(runners), func(i int) (Outcome, error) {
 		r := runners[i]
 		start := time.Now()
 		tb, err := safeRun(r, s)
@@ -61,7 +59,7 @@ func RunAllProgress(s Suite, runners []Runner, progress func(Outcome)) []Outcome
 // error: one crashing experiment must report itself by ID instead of
 // killing the evaluation process. Panics inside an experiment's own
 // sweep fan-out are already recovered per point by harness.ParMap.
-func safeRun(r Runner, s Suite) (tb *Table, err error) {
+func safeRun(r Runner, s harness.Suite) (tb *harness.Table, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			tb, err = nil, fmt.Errorf("experiments: %s panicked: %v\n%s", r.ID, rec, debug.Stack())

@@ -3,23 +3,25 @@ package experiments
 import (
 	"errors"
 	"testing"
+
+	"step/internal/harness"
 )
 
 func TestRunAllReportsPerOutcome(t *testing.T) {
 	boom := errors.New("boom")
 	runners := []Runner{
-		{ID: "ok", Desc: "works", Run: func(Suite) (*Table, error) {
-			return &Table{ID: "ok"}, nil
+		{ID: "ok", Desc: "works", Run: func(harness.Suite) (*harness.Table, error) {
+			return &harness.Table{ID: "ok"}, nil
 		}},
-		{ID: "bad", Desc: "fails", Run: func(Suite) (*Table, error) {
+		{ID: "bad", Desc: "fails", Run: func(harness.Suite) (*harness.Table, error) {
 			return nil, boom
 		}},
-		{ID: "ok2", Desc: "still runs after a failure", Run: func(Suite) (*Table, error) {
-			return &Table{ID: "ok2"}, nil
+		{ID: "ok2", Desc: "still runs after a failure", Run: func(harness.Suite) (*harness.Table, error) {
+			return &harness.Table{ID: "ok2"}, nil
 		}},
 	}
 	for _, workers := range []int{1, 4} {
-		out := RunAll(Suite{Workers: workers}, runners)
+		out := RunAll(harness.Suite{Workers: workers}, runners, nil)
 		if len(out) != 3 {
 			t.Fatalf("workers=%d: %d outcomes", workers, len(out))
 		}
@@ -40,10 +42,10 @@ func TestRunAllReportsPerOutcome(t *testing.T) {
 // evaluation process.
 func TestRunAllRecoversRunnerPanic(t *testing.T) {
 	runners := []Runner{
-		{ID: "boomer", Desc: "panics", Run: func(Suite) (*Table, error) { panic("exploded") }},
-		{ID: "ok", Desc: "works", Run: func(Suite) (*Table, error) { return &Table{ID: "ok"}, nil }},
+		{ID: "boomer", Desc: "panics", Run: func(harness.Suite) (*harness.Table, error) { panic("exploded") }},
+		{ID: "ok", Desc: "works", Run: func(harness.Suite) (*harness.Table, error) { return &harness.Table{ID: "ok"}, nil }},
 	}
-	out := RunAll(Suite{Workers: 4}, runners)
+	out := RunAll(harness.Suite{Workers: 4}, runners, nil)
 	if len(out) != 2 {
 		t.Fatalf("%d outcomes", len(out))
 	}

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"step/internal/graph"
+	"step/internal/harness"
+	"step/internal/scenario"
 	"step/internal/trace"
 	"step/internal/workloads"
 )
@@ -17,15 +20,15 @@ type timesharePoint struct {
 
 // runTimeshareSweep sweeps the number of parallel regions for the Qwen MoE
 // layer at batch 64 (§5.3).
-func runTimeshareSweep(s Suite, dynamic bool, tileSize int, regions []int) ([]timesharePoint, error) {
-	model := workloads.Qwen3Config().Scaled(ExperimentScale)
+func runTimeshareSweep(s harness.Suite, dynamic bool, tileSize int, regions []int) ([]timesharePoint, error) {
+	model := workloads.Qwen3Config().Scaled(scenario.ExperimentScale)
 	routing, err := trace.SampleExpertRouting(64, model.NumExperts, model.TopK, trace.SkewHeavy, s.Seed)
 	if err != nil {
 		return nil, err
 	}
 	// Region counts are independent design points: fan them out on the
 	// pool, collected in sweep order.
-	return parMap(s, len(regions), func(i int) (timesharePoint, error) {
+	return harness.ParMap(s, len(regions), func(i int) (timesharePoint, error) {
 		r := regions[i]
 		l, err := workloads.BuildMoELayer(workloads.MoELayerConfig{
 			Model: model, Batch: 64,
@@ -35,11 +38,11 @@ func runTimeshareSweep(s Suite, dynamic bool, tileSize int, regions []int) ([]ti
 		if err != nil {
 			return timesharePoint{}, err
 		}
-		cfg := s.GraphConfig()
-		res, err := l.Graph.Run(cfg)
+		sess, err := l.Program.Run(graph.WithConfig(s.GraphConfig()))
 		if err != nil {
 			return timesharePoint{}, err
 		}
+		res, cfg := sess.Result, sess.Config
 		oc, err := l.OnchipBytes()
 		if err != nil {
 			return timesharePoint{}, err
@@ -66,15 +69,15 @@ func timeshareRegions(quick bool) []int {
 
 // Figure12 reports compute utilization and cycles across region counts for
 // static and dynamic tiling.
-func Figure12(s Suite) (*Table, error) {
+func Figure12(s harness.Suite) (*harness.Table, error) {
 	s = s.EnsurePool()
-	t := &Table{
+	t := &harness.Table{
 		ID:     "fig12",
 		Title:  "Time-multiplexing: compute utilization (Qwen MoE, batch=64)",
 		Header: []string{"Tiling", "Regions", "ExpertsPerRegion", "ComputeUtil", "Cycles"},
 	}
 	variants := []bool{false, true}
-	swept, err := parMap(s, len(variants), func(i int) ([]timesharePoint, error) {
+	swept, err := harness.ParMap(s, len(variants), func(i int) ([]timesharePoint, error) {
 		return runTimeshareSweep(s, variants[i], 32, timeshareRegions(s.Quick))
 	})
 	if err != nil {
@@ -116,9 +119,9 @@ func Figure12(s Suite) (*Table, error) {
 
 // Figure13 reports the resource view of the same sweep: cycles, on-chip
 // memory, allocated compute, and off-chip bandwidth utilization.
-func Figure13(s Suite) (*Table, error) {
+func Figure13(s harness.Suite) (*harness.Table, error) {
 	s = s.EnsurePool()
-	t := &Table{
+	t := &harness.Table{
 		ID:     "fig13",
 		Title:  "Time-multiplexing: resources (Qwen MoE, tile=32, batch=64)",
 		Header: []string{"Regions", "Cycles", "OnchipBytes", "AllocComputeFLOPs/cyc", "OffchipBWUtil"},

@@ -8,12 +8,13 @@
 //
 // # Execution lifecycle
 //
+// A graph is built, compiled into an immutable Program (Graph.Compile or
+// CompileIR), and run through Program.Run, the only way to execute it.
 // A Graph owns its operator instances; engine state (the DES simulation,
-// channels, machine model, counters) is rebuilt for every run. One graph
-// may therefore be run repeatedly, but not concurrently with itself —
-// Run returns ErrAlreadyBound on overlap. Compile a graph into a Program
-// for concurrency-safe repeated runs: each Program.Run instantiates a
-// fresh graph from the IR.
+// channels, machine model, counters) is rebuilt for every run. Runs of a
+// Go-built graph serialize on the graph, whichever Program they go
+// through; an IR-backed Program instantiates a fresh graph per run, so
+// its runs are fully parallel.
 //
 // Determinism: with the default channel latency (>= 1) a graph produces
 // identical Results under the sequential and the conservative-parallel

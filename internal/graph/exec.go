@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -116,16 +115,8 @@ func (r Result) OffchipBWUtilization(peakBytesPerCycle int64) float64 {
 	return float64(r.OffchipTrafficBytes) / (float64(peakBytesPerCycle) * float64(r.Cycles))
 }
 
-// ErrAlreadyBound is returned by Run when the graph is already executing
-// on another goroutine. Engine state (channels, machine, counters) is
-// rebuilt per run, but operator instances are shared by every run of one
-// graph, so overlapping executions would race. Sequential re-runs are
-// legal: per-run operator state is reset at the start of each run.
-// Compile the graph into a Program for concurrency-safe repeated runs.
-var ErrAlreadyBound = errors.New("graph: already running (concurrent Graph.Run on one graph; compile to a Program and use Program.Run)")
-
 // resettable is implemented by operators that accumulate per-run state
-// (captures, store handles); Run resets them so a graph can be executed
+// (captures, store handles); run resets them so a graph can be executed
 // repeatedly with well-defined semantics.
 type resettable interface{ ResetRunState() }
 
@@ -162,40 +153,10 @@ func releaseRingSlab(s *ringSlab) {
 	ringSlabPool.Put(s)
 }
 
-// Run validates the graph, maps every node to a DES process and every
-// stream to a bounded channel, and executes to completion.
-//
-// Re-run semantics: running the same graph again sequentially is legal
-// and deterministic — per-run operator state (captured streams, store
-// regions) is cleared first. A Run that overlaps another Run of the same
-// graph returns ErrAlreadyBound.
-func (g *Graph) Run(cfg Config) (Result, error) {
-	res, _, err := g.runSession(cfg, false)
-	return res, err
-}
-
-// runSession executes under the reentrancy guard and, when asked,
-// snapshots the captured streams before releasing it — a capture
-// collected after release could race with the reset of a subsequent
-// run (Program.Run's session path needs the snapshot).
-func (g *Graph) runSession(cfg Config, collect bool) (Result, map[string][]element.Element, error) {
-	if !g.running.CompareAndSwap(false, true) {
-		return Result{}, nil, ErrAlreadyBound
-	}
-	defer g.running.Store(false)
-	res, err := g.run(cfg)
-	if err != nil {
-		return res, nil, err
-	}
-	var captures map[string][]element.Element
-	if collect {
-		captures = collectCaptures(g)
-	}
-	return res, captures, nil
-}
-
-// run executes the graph without the reentrancy guard; Program.Run uses
-// it under its own serialization.
+// run validates the graph, maps every node to a DES process and every
+// stream to a bounded channel, and executes to completion. Per-run
+// operator state (captured streams, store regions) is cleared first, so
+// sequential re-runs are deterministic; callers hold g.mu (Program.Run).
 func (g *Graph) run(cfg Config) (Result, error) {
 	if err := g.Finalize(); err != nil {
 		return Result{}, fmt.Errorf("graph: invalid program: %w", err)

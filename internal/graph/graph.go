@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"step/internal/des"
@@ -126,10 +127,9 @@ type Graph struct {
 	// compiled marks the graph frozen: Compile succeeded and further
 	// structural mutation is a recorded construction error.
 	compiled bool
-	// running guards against concurrent executions of one graph: each run
-	// binds per-run engine state, but operator instances are shared, so
-	// two overlapping runs would race (see ErrAlreadyBound).
-	running atomic.Bool
+	// mu serializes runs: each run builds fresh engine state, but
+	// operator instances are shared, so two overlapping runs would race.
+	mu sync.Mutex
 }
 
 // New creates an empty graph.

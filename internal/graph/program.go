@@ -24,8 +24,9 @@ import (
 // re-instantiate every operator per run, which makes concurrent Runs of
 // one Program fully parallel. Programs compiled from a Go-built graph
 // may close over shared operator instances (custom functions, capture
-// handles), so their runs are serialized internally — still legal from
-// any number of goroutines, just one simulation at a time.
+// handles), so their runs serialize on the graph — still legal from any
+// number of goroutines and any number of Programs compiled from that
+// graph, just one simulation at a time.
 type Program struct {
 	name   string
 	src    *Graph
@@ -43,15 +44,11 @@ type Program struct {
 	onchip      symbolic.Expr
 	traffic     symbolic.Expr
 	allocBW     int64
-
-	// mu serializes closure-bound runs (see type comment).
-	mu sync.Mutex
 }
 
 // Compile validates the graph and freezes it into a Program. After a
 // successful Compile the graph is immutable: AddNode/NewStream record
-// construction errors. The graph's deprecated Run method keeps working
-// (it executes the same frozen structure).
+// construction errors, which the next Run reports.
 func (g *Graph) Compile() (*Program, error) {
 	return g.compileNamed("")
 }
@@ -171,8 +168,8 @@ type runSettings struct {
 	params symbolic.Env
 }
 
-// WithConfig replaces the whole run configuration (the escape hatch for
-// callers holding a legacy Config).
+// WithConfig replaces the whole run configuration (for callers holding a
+// Config, such as harness.Suite.GraphConfig).
 func WithConfig(cfg Config) RunOption {
 	return func(rs *runSettings) { rs.cfg = cfg }
 }
@@ -242,39 +239,28 @@ type Session struct {
 // the run's session. Options default to DefaultConfig with seed 0.
 // Repeated and concurrent Runs of one Program are legal: IR-backed
 // programs instantiate a fresh operator graph per run; Go-built
-// programs share operator instances, so their runs serialize
-// internally.
+// programs share operator instances, so their runs serialize on the
+// graph.
 func (p *Program) Run(opts ...RunOption) (*Session, error) {
 	rs := runSettings{cfg: DefaultConfig()}
 	for _, o := range opts {
 		o(&rs)
 	}
-	s := &Session{Config: rs.cfg, program: p, params: rs.params}
+	g := p.src
 	if p.fromIR {
-		g, err := BuildIR(p.ir, rs.cfg.Seed)
-		if err != nil {
+		var err error
+		if g, err = BuildIR(p.ir, rs.cfg.Seed); err != nil {
 			return nil, fmt.Errorf("graph: instantiate program: %w", err)
 		}
-		s.Result, s.captures, err = g.runSession(rs.cfg, true)
-		if err != nil {
-			return nil, err
-		}
-		return s, nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	// Go through the graph's own reentrancy guard: Program.Runs
-	// serialize on p.mu, so the only way the guard trips is an
-	// overlapping legacy Graph.Run (or another Program compiled from the
-	// same graph) — which must surface as ErrAlreadyBound, not race. The
-	// capture snapshot happens inside the guard for the same reason.
-	res, captures, err := p.src.runSession(rs.cfg, true)
+	// The captures are copied before unlocking: the next run resets them.
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	res, err := g.run(rs.cfg)
 	if err != nil {
 		return nil, err
 	}
-	s.Result = res
-	s.captures = captures
-	return s, nil
+	return &Session{Result: res, Config: rs.cfg, program: p, captures: collectCaptures(g), params: rs.params}, nil
 }
 
 // capturer is implemented by recording sinks (ops.CaptureOp).

@@ -26,51 +26,34 @@ func buildDoubler(n int) (*graph.Graph, *ops.CaptureOp) {
 	return g, cap
 }
 
-// TestGraphRunTwiceDeterministic: sequential re-runs of one graph are
-// legal and identical — per-run operator state (captures) resets.
+// TestGraphRunTwiceDeterministic: sequential re-runs of one Go-built
+// graph are legal and identical — per-run operator state (captures)
+// resets.
 func TestGraphRunTwiceDeterministic(t *testing.T) {
 	g, cap := buildDoubler(8)
-	r1, err := g.Run(graph.DefaultConfig())
+	prog, err := g.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1 := element.FormatStream(cap.Elements())
-	r2, err := g.Run(graph.DefaultConfig())
+	s1, err := prog.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := element.FormatStream(cap.Elements())
-	if r1 != r2 {
-		t.Fatalf("re-run results differ: %+v vs %+v", r1, r2)
+	s2, err := prog.Run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c1 != c2 {
-		t.Fatalf("re-run captures differ (stale state leaked):\n %s\n %s", c1, c2)
+	if s1.Result != s2.Result {
+		t.Fatalf("re-run results differ: %+v vs %+v", s1.Result, s2.Result)
+	}
+	c1, _ := s1.Captured("out")
+	c2, _ := s2.Captured("out")
+	if element.FormatStream(c1) != element.FormatStream(c2) {
+		t.Fatalf("re-run captures differ (stale state leaked):\n %s\n %s",
+			element.FormatStream(c1), element.FormatStream(c2))
 	}
 	if n := element.CountData(cap.Elements()); n != 8 {
 		t.Fatalf("capture has %d data elements after 2 runs, want 8", n)
-	}
-}
-
-// TestGraphRunConcurrentErrAlreadyBound: a Run overlapping another Run
-// of the same graph fails with ErrAlreadyBound. The overlap is forced
-// deterministically: an operator re-enters Run mid-simulation.
-func TestGraphRunConcurrentErrAlreadyBound(t *testing.T) {
-	g := graph.New()
-	in := ops.CountSource(g, "in", 2)
-	var inner error
-	reenter := ops.Map(g, "reenter", in, ops.MapFn{
-		Name: "reenter",
-		Apply: func(v element.Value) (element.Value, int64, error) {
-			_, inner = g.Run(graph.DefaultConfig())
-			return v, 0, nil
-		},
-	}, ops.ComputeOpts{})
-	ops.Sink(g, "drop", reenter)
-	if _, err := g.Run(graph.DefaultConfig()); err != nil {
-		t.Fatalf("outer run: %v", err)
-	}
-	if !errors.Is(inner, graph.ErrAlreadyBound) {
-		t.Fatalf("inner Run error = %v, want ErrAlreadyBound", inner)
 	}
 }
 
@@ -78,12 +61,13 @@ func TestGraphRunConcurrentErrAlreadyBound(t *testing.T) {
 // graph is a recorded construction error surfacing on the next run.
 func TestGraphMutationAfterCompile(t *testing.T) {
 	g, _ := buildDoubler(2)
-	if _, err := g.Compile(); err != nil {
+	prog, err := g.Compile()
+	if err != nil {
 		t.Fatal(err)
 	}
 	extra := ops.CountSource(g, "late", 1)
 	ops.Sink(g, "latesink", extra)
-	if _, err := g.Run(graph.DefaultConfig()); err == nil {
+	if _, err := prog.Run(); err == nil {
 		t.Fatal("run succeeded after post-compile mutation")
 	}
 }
@@ -165,25 +149,46 @@ func TestProgramConcurrentRunsClosureBound(t *testing.T) {
 	}
 }
 
-// TestProgramRunMatchesLegacyRun: the deprecated Graph.Run and the
-// compiled Program.Run produce identical results for one configuration.
-func TestProgramRunMatchesLegacyRun(t *testing.T) {
-	g1, _ := buildDoubler(8)
-	legacy, err := g1.Run(graph.DefaultConfig())
+// TestProgramsOfOneGraphSerialize: two Programs compiled from one
+// Go-built graph share its operator instances, so their concurrent runs
+// must serialize on the graph rather than race or fail.
+func TestProgramsOfOneGraphSerialize(t *testing.T) {
+	g, _ := buildDoubler(16)
+	progs := make([]*graph.Program, 2)
+	for i := range progs {
+		p, err := g.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs[i] = p
+	}
+	base, err := progs[0].Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, _ := buildDoubler(8)
-	prog, err := g2.Compile()
-	if err != nil {
-		t.Fatal(err)
+	want, _ := base.Captured("out")
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			s, err := progs[i%2].Run()
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			got, _ := s.Captured("out")
+			if !s.Result.Equal(base.Result) || element.FormatStream(got) != element.FormatStream(want) {
+				errs[i] = errors.New("mismatch")
+			}
+		}(i)
 	}
-	sess, err := prog.Run(graph.WithConfig(graph.DefaultConfig()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sess.Result.Equal(legacy) {
-		t.Fatalf("results differ: %+v vs %+v", sess.Result, legacy)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("run %d (program %d): %v", i, i%2, err)
+		}
 	}
 }
 

@@ -116,7 +116,7 @@ func TestRandomOffChipLoadBadAddress(t *testing.T) {
 	addr := Source(g, "addr", shape.OfInts(1), graph.ScalarType{}, []element.Element{sc(5), dn})
 	out := RandomOffChipLoad(g, "rload", addr, table)
 	Sink(g, "sink", out)
-	if _, err := g.Run(graph.DefaultConfig()); err == nil {
+	if _, err := runCfg(g, graph.DefaultConfig()); err == nil {
 		t.Fatal("expected address error")
 	}
 }
@@ -245,7 +245,7 @@ func TestScratchpadFreedAfterStreamify(t *testing.T) {
 	out := StreamifyLinear(g, "str", bufs)
 	Sink(g, "sink", out)
 	cfg := graph.DefaultConfig()
-	res, err := g.Run(cfg)
+	res, err := runCfg(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestScratchpadCapacityExceededFails(t *testing.T) {
 	Sink(g, "sink", out)
 	cfg := graph.DefaultConfig()
 	cfg.Onchip.CapacityBytes = 3 // two 2-byte tiles will not fit
-	_, err := g.Run(cfg)
+	_, err := runCfg(g, cfg)
 	if err == nil {
 		t.Fatal("expected capacity error")
 	}

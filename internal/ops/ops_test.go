@@ -27,11 +27,25 @@ var dn = element.DoneElem
 // run executes the graph with default config, failing the test on error.
 func run(t *testing.T, g *graph.Graph) graph.Result {
 	t.Helper()
-	res, err := g.Run(graph.DefaultConfig())
+	res, err := runCfg(g, graph.DefaultConfig())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	return res
+}
+
+// runCfg compiles and runs the graph under cfg, returning the compile or
+// run error.
+func runCfg(g *graph.Graph, cfg graph.Config) (graph.Result, error) {
+	prog, err := g.Compile()
+	if err != nil {
+		return graph.Result{}, err
+	}
+	sess, err := prog.Run(graph.WithConfig(cfg))
+	if err != nil {
+		return graph.Result{}, err
+	}
+	return sess.Result, nil
 }
 
 // fmtCap formats a capture's stream.
@@ -64,7 +78,8 @@ func TestBroadcast(t *testing.T) {
 	outs := Broadcast(g, "bc", s, 3)
 	caps := make([]*CaptureOp, 3)
 	for i, o := range outs {
-		caps[i] = Capture(g, "cap", o)
+		// Compile rejects duplicate capture names.
+		caps[i] = Capture(g, "cap"+string(rune('0'+i)), o)
 	}
 	run(t, g)
 	for i, c := range caps {
@@ -241,7 +256,7 @@ func TestZipMisalignmentFails(t *testing.T) {
 	b := Source(g, "b", shape.OfInts(2), graph.ScalarType{}, []element.Element{sc(3), st(1), dn})
 	z := Zip(g, "z", a, b)
 	Capture(g, "cap", z)
-	if _, err := g.Run(graph.DefaultConfig()); err == nil {
+	if _, err := runCfg(g, graph.DefaultConfig()); err == nil {
 		t.Fatal("expected misalignment error")
 	}
 }

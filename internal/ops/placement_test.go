@@ -60,12 +60,12 @@ func TestMemoryPlacementSwap(t *testing.T) {
 	}
 
 	capOff, gOff := build(false)
-	resOff, err := gOff.Run(graph.DefaultConfig())
+	resOff, err := runCfg(gOff, graph.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	capOn, gOn := build(true)
-	resOn, err := gOn.Run(graph.DefaultConfig())
+	resOn, err := runCfg(gOn, graph.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

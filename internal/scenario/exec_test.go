@@ -16,7 +16,7 @@ func decoderExecSpec() Spec {
 		Title:      "decoder exec seam",
 		Kind:       KindDecoder,
 		Models:     []ModelSpec{{Base: "qwen"}},
-		Scale:      builtinScale,
+		Scale:      ExperimentScale,
 		Batch:      16,
 		Strategies: []string{"static:16", "dynamic"},
 	}

@@ -23,10 +23,11 @@ func runAttention(t *testing.T, cfg AttentionConfig) (*Attention, graph.Result) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.Graph.Run(graph.DefaultConfig())
+	sess, err := a.Program.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := sess.Result
 	return a, res
 }
 
@@ -121,11 +122,11 @@ func TestInterleavedNeedsDeepRegionFIFOs(t *testing.T) {
 		// the only buffering in front of each region.
 		rc := graph.DefaultConfig()
 		rc.ChannelDepth = 2
-		res, err := a.Graph.Run(rc)
+		sess, err := a.Program.Run(graph.WithConfig(rc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return uint64(res.Cycles)
+		return uint64(sess.Result.Cycles)
 	}
 	shallow := run(2)
 	deep := run(0)

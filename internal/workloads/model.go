@@ -103,7 +103,7 @@ func RunDecoder(cfg DecoderConfig, runCfg graph.Config) (DecoderResult, error) {
 		if err != nil {
 			return out, fmt.Errorf("workloads: layer %d attention: %w", layer, err)
 		}
-		attnRes, err := attn.Graph.Run(runCfg)
+		attnSess, err := attn.Program.Run(graph.WithConfig(runCfg))
 		if err != nil {
 			return out, fmt.Errorf("workloads: layer %d attention: %w", layer, err)
 		}
@@ -126,11 +126,12 @@ func RunDecoder(cfg DecoderConfig, runCfg graph.Config) (DecoderResult, error) {
 		if err != nil {
 			return out, fmt.Errorf("workloads: layer %d moe: %w", layer, err)
 		}
-		moeRes, err := moe.Graph.Run(runCfg)
+		moeSess, err := moe.Program.Run(graph.WithConfig(runCfg))
 		if err != nil {
 			return out, fmt.Errorf("workloads: layer %d moe: %w", layer, err)
 		}
 
+		attnRes, moeRes := attnSess.Result, moeSess.Result
 		layerCycles := attnRes.Cycles + moeRes.Cycles
 		out.CyclesPerLayer = append(out.CyclesPerLayer, layerCycles)
 		sumCycles += layerCycles

@@ -55,10 +55,11 @@ func runMoE(t *testing.T, cfg MoELayerConfig) (*MoELayer, graph.Result, []*tile.
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := l.Graph.Run(graph.DefaultConfig())
+	sess, err := l.Program.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := sess.Result
 	var rows []*tile.Tile
 	for _, e := range l.Output.Elements() {
 		if e.IsData() {

@@ -18,7 +18,7 @@ func TestSwiGLUFunctionalCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sw.Graph.Run(graph.DefaultConfig()); err != nil {
+	if _, err := sw.Program.Run(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := sw.Output()
@@ -36,10 +36,11 @@ func TestSwiGLUTrafficExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sw.Graph.Run(graph.DefaultConfig())
+	sess, err := sw.Program.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := sess.Result
 	if res.OffchipTrafficBytes != SwiGLUTrafficBytes(cfg) {
 		t.Fatalf("traffic %d, want %d", res.OffchipTrafficBytes, SwiGLUTrafficBytes(cfg))
 	}
@@ -65,10 +66,11 @@ func TestSwiGLUSmallerTilesMoreTraffic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sw.Graph.Run(graph.DefaultConfig())
+		sess, err := sw.Program.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := sess.Result
 		if last >= 0 && res.OffchipTrafficBytes <= last {
 			t.Fatalf("tile %d: traffic %d should exceed %d", bt, res.OffchipTrafficBytes, last)
 		}

@@ -38,10 +38,11 @@ func TestSchedStatsGate(t *testing.T) {
 	}
 	cfg := step.DefaultConfig()
 	cfg.SimWorkers = 8
-	res, err := l.Graph.Run(cfg)
+	sess, err := l.Program.Run(step.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := sess.Result
 	s := res.Sched
 	t.Logf("sched: lifts=%d lift-fastpath=%d kicks=%d scanned=%d woken=%d grants=%d grant-fastpath=%d scanned/lift=%.3f",
 		s.Lifts, s.LiftFastPath, s.Kicks, s.Scanned, s.Woken, s.Grants, s.GrantFastPath, s.ScannedPerLift())
@@ -66,10 +67,11 @@ func TestSchedStatsGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resSeq, err := l2.Graph.Run(cfgSeq)
+	sessSeq, err := l2.Program.Run(step.WithConfig(cfgSeq))
 	if err != nil {
 		t.Fatal(err)
 	}
+	resSeq := sessSeq.Result
 	if resSeq.Sched != (step.SchedStats{}) {
 		t.Errorf("sequential engine reported non-zero SchedStats: %+v", resSeq.Sched)
 	}

@@ -44,11 +44,9 @@
 // Go code — flows through sweeps, content-addressed caching, and HTTP
 // serving.
 //
-// The legacy mutable API (Graph.Run(Config)) keeps working as a thin
-// shim over the same executor and is deprecated: prefer
-// Compile()/Run(options). See examples/ for the paper's simplified MoE
-// (§3.3), dynamic tiling, dynamic parallelization, an end-to-end
-// decoder layer, and a serialized program IR.
+// See examples/ for the paper's simplified MoE (§3.3), dynamic tiling,
+// dynamic parallelization, an end-to-end decoder layer, and a
+// serialized program IR.
 package step
 
 import (
@@ -72,8 +70,6 @@ type (
 	// Graph is a STeP program under construction (a builder). Compile it
 	// into an immutable Program to run it.
 	Graph = graph.Graph
-	// Builder is an alias for Graph emphasizing the build/compile split.
-	Builder = graph.Graph
 	// Program is an immutable, validated, compiled STeP program.
 	Program = graph.Program
 	// Session is the outcome of one Program run.
@@ -84,9 +80,7 @@ type (
 	ProgramIR = graph.ProgramIR
 	// Stream is a dataflow edge with a symbolic shape and data type.
 	Stream = graph.Stream
-	// Config parameterizes a simulated run.
-	//
-	// Deprecated: prefer Program.Run with functional options.
+	// Config parameterizes a simulated run (see WithConfig).
 	Config = graph.Config
 	// Result summarizes a simulated run.
 	Result = graph.Result
@@ -168,9 +162,6 @@ var SetSchedCollector = des.SetSchedCollector
 // NewGraph creates an empty STeP program builder.
 func NewGraph() *Graph { return graph.New() }
 
-// NewBuilder is NewGraph under the build/compile naming.
-func NewBuilder() *Builder { return graph.New() }
-
 // DefaultConfig is the §5.1 machine: 64 B/cycle on-chip memory units and
 // 1024 B/cycle off-chip bandwidth.
 func DefaultConfig() Config { return graph.DefaultConfig() }
@@ -196,11 +187,6 @@ var (
 	CompileProgramIR = graph.CompileIR
 	RegisteredIROps  = graph.RegisteredIROps
 )
-
-// ErrAlreadyBound is returned by the deprecated Graph.Run when the same
-// graph is already executing on another goroutine. Compiled Programs do
-// not have this restriction.
-var ErrAlreadyBound = graph.ErrAlreadyBound
 
 // Graph construction helpers re-exported from the ops package. Each
 // corresponds to a STeP operator of §3.2 (see Tables 3–7).

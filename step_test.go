@@ -18,15 +18,20 @@ func TestQuickstartAPI(t *testing.T) {
 			return step.Scalar{V: v.(step.Scalar).V * 2}, 1, nil
 		},
 	}, step.ComputeOpts{ComputeBW: 1})
-	out := step.Capture(g, "out", dbl)
-	res, err := g.Run(step.DefaultConfig())
+	step.Capture(g, "out", dbl)
+	prog, err := g.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cycles == 0 {
+	sess, err := prog.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.Result.Cycles == 0 {
 		t.Fatal("no cycles simulated")
 	}
-	got := step.FormatStream(out.Elements())
+	out, _ := sess.Captured("out")
+	got := step.FormatStream(out)
 	if got != "0,2,4,6,8,10,12,14,D" {
 		t.Fatalf("captured %s", got)
 	}
@@ -62,7 +67,7 @@ func TestPublicWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := layer.Graph.Run(step.DefaultConfig()); err != nil {
+	if _, err := layer.Program.Run(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -73,7 +78,7 @@ func TestPublicWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := attn.Graph.Run(step.DefaultConfig()); err != nil {
+	if _, err := attn.Program.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if attn.CompletedRequests() != 16 {
@@ -86,7 +91,7 @@ func TestPublicWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sw.Graph.Run(step.DefaultConfig()); err != nil {
+	if _, err := sw.Program.Run(); err != nil {
 		t.Fatal(err)
 	}
 }
