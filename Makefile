@@ -83,6 +83,7 @@ sweep-smoke:
 	$(GO) run ./cmd/stepctl sweep -spec examples/specs/long_context.json
 	$(GO) run ./cmd/stepctl sweep -spec examples/specs/mixed_serving.json
 	$(GO) run ./cmd/stepctl sweep -spec examples/specs/program_pipeline.json
+	$(GO) run ./cmd/stepctl sweep -spec examples/specs/decoder_schedules.json
 
 # examples-smoke builds and runs every example program, so regressions
 # in the public API (the Program/Session API, the program IR loader)

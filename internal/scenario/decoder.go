@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"strconv"
+	"sync"
 
 	"step/internal/harness"
 	"step/internal/trace"
@@ -19,9 +20,11 @@ type decoderResult struct {
 }
 
 // runDecoder compiles a decoder spec: models x batch sizes x schedules
-// through workloads.RunDecoder, reporting end-to-end latency, on-chip
+// through workloads.RunDecoder's two halves, reporting end-to-end latency, on-chip
 // footprint, off-chip traffic, and allocated compute. One point is one
-// table row, rendered and streamed as it lands.
+// table row, rendered and streamed as it lands. Each distinct attention
+// stage is simulated once per sweep and shared by the points that need
+// it; a single-point run (RunPoint) simulates only its own.
 func runDecoder(sp Spec, s harness.Suite, ss *streamSink, ex exec) (*harness.Table, error) {
 	s = s.EnsurePool()
 	models, err := sp.resolveModels()
@@ -47,6 +50,12 @@ func runDecoder(sp Spec, s harness.Suite, ss *streamSink, ex exec) (*harness.Tab
 	schedules := sp.Strategies
 	if len(schedules) == 0 {
 		schedules = []string{defaultStrategy}
+	}
+	scheds := make([]decoderSchedule, len(schedules))
+	for si, name := range schedules {
+		if scheds[si], err = parseSchedule(name); err != nil {
+			return nil, err
+		}
 	}
 	kvMean := sp.KVMean
 	if kvMean == 0 {
@@ -107,16 +116,8 @@ func runDecoder(sp Spec, s harness.Suite, ss *streamSink, ex exec) (*harness.Tab
 			"schedule": schedules[si],
 		}, ev.Duration)
 	})
-	results, err := mapPoints(run, ex, nM*nB*nS, func(idx int) (decoderResult, error) {
-		si := idx % nS
-		bi := idx / nS % nB
-		mi := idx / (nS * nB)
-		model := models[mi]
+	config := func(mi, bi, si int) workloads.DecoderConfig {
 		b := batches[bi]
-		sched, err := parseSchedule(schedules[si])
-		if err != nil {
-			return decoderResult{}, err
-		}
 		kvLens := groupLens
 		if kvLens == nil {
 			seed := s.Seed
@@ -125,19 +126,49 @@ func runDecoder(sp Spec, s harness.Suite, ss *streamSink, ex exec) (*harness.Tab
 			}
 			kvLens = trace.SampleKVLengths(b, kvMean, variance, seed)
 		}
-		res, err := workloads.RunDecoder(workloads.DecoderConfig{
-			Model:        model,
+		return workloads.DecoderConfig{
+			Model:        models[mi],
 			Batch:        b,
 			KVLens:       kvLens,
-			MoETile:      sched.moeTile,
-			MoEDynamic:   sched.moeDynamic,
+			MoETile:      scheds[si].moeTile,
+			MoEDynamic:   scheds[si].moeDynamic,
 			MoERegions:   sp.MoERegions,
-			AttnStrategy: sched.attn,
+			AttnStrategy: scheds[si].attn,
 			AttnRegions:  sp.Regions,
 			SampleLayers: sampleLayers,
 			Skew:         skew,
 			Seed:         s.Seed,
-		}, s.GraphConfig())
+		}
+	}
+	// The attention stage depends on (model, batch, attention strategy)
+	// only. Schedules with the same attention strategy share the stage of
+	// the first of them, firstAttn[si]; stages holds it at that
+	// schedule's grid index, simulated by the first point that needs it.
+	firstAttn := make([]int, nS)
+	for si := range scheds {
+		for scheds[firstAttn[si]].attn != scheds[si].attn {
+			firstAttn[si]++
+		}
+	}
+	runCfg := s.GraphConfig()
+	stages := make([]func() (workloads.AttentionStage, error), nM*nB*nS)
+	for idx := range stages {
+		if si := idx % nS; firstAttn[si] == si {
+			mi, bi := idx/(nS*nB), idx/nS%nB
+			stages[idx] = sync.OnceValues(func() (workloads.AttentionStage, error) {
+				return workloads.SimulateAttentionStage(config(mi, bi, si), runCfg)
+			})
+		}
+	}
+	results, err := mapPoints(run, ex, nM*nB*nS, func(idx int) (decoderResult, error) {
+		si := idx % nS
+		bi := idx / nS % nB
+		mi := idx / (nS * nB)
+		attn, err := stages[idx-si+firstAttn[si]]()
+		if err != nil {
+			return decoderResult{}, err
+		}
+		res, err := workloads.RunDecoderLayers(config(mi, bi, si), attn, runCfg)
 		if err != nil {
 			return decoderResult{}, err
 		}

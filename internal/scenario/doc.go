@@ -30,6 +30,11 @@
 //     specs with equal canonical bytes must simulate identically;
 //     anything that changes rendered output must change the canonical
 //     form.
+//   - One simulation per distinct stage: a decoder sweep simulates each
+//     (model, batch, attention strategy) attention stage once and shares
+//     it across the schedules and sampled layers that use it. Sharing
+//     never crosses sweeps or matrix cells, and a single point
+//     (RunPoint) simulates its own stage, with identical results.
 //   - Specs are plain values: Run does not mutate its Spec argument, so
 //     a spec loaded once may be submitted concurrently (the service
 //     layer relies on this).

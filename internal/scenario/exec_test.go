@@ -9,16 +9,20 @@ import (
 )
 
 // decoderExecSpec is a small decoder-kind sweep with a schedule axis,
-// so the exec tests cover the decoder's note computation too.
+// so the exec tests cover the decoder's note computation too. The two
+// static schedules share one attention stage in a local sweep, while
+// RunPoint simulates each point's own, and two sampled layers share it
+// across layers.
 func decoderExecSpec() Spec {
 	return Spec{
-		ID:         "decoder-exec",
-		Title:      "decoder exec seam",
-		Kind:       KindDecoder,
-		Models:     []ModelSpec{{Base: "qwen"}},
-		Scale:      ExperimentScale,
-		Batch:      16,
-		Strategies: []string{"static:16", "dynamic"},
+		ID:           "decoder-exec",
+		Title:        "decoder exec seam",
+		Kind:         KindDecoder,
+		Models:       []ModelSpec{{Base: "qwen"}},
+		Scale:        ExperimentScale,
+		Batch:        16,
+		Strategies:   []string{"static:16", "static:64", "dynamic"},
+		SampleLayers: 2,
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // update rewrites the golden files instead of asserting against them:
 //
 //	go test ./internal/scenario -run TestGoldenTables -update
-var update = flag.Bool("update", false, "rewrite testdata/golden files")
+var update = flag.Bool("update", false, "rewrite testdata/golden files and testdata/decoder_schedules.txt")
 
 // goldenSuite is the configuration the golden artifacts are rendered
 // under; `make serve-smoke` POSTs the same seed/quick, so the HTTP
@@ -40,25 +40,30 @@ func TestGoldenTables(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := tb.String()
-			path := goldenPath(sp.ID)
-			if *update {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("no golden file for canned spec %s (render with -update): %v", sp.ID, err)
-			}
-			if got != string(want) {
-				t.Errorf("table diverges from %s:\n%s", path, diffLines(string(want), got))
-			}
+			matchFile(t, goldenPath(sp.ID), tb.String())
 		})
+	}
+}
+
+// matchFile diffs got against the committed file at path, or rewrites
+// the file under -update.
+func matchFile(t *testing.T, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no committed table %s (render with -update): %v", path, err)
+	}
+	if got != string(want) {
+		t.Errorf("table diverges from %s:\n%s", path, diffLines(string(want), got))
 	}
 }
 

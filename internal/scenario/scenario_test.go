@@ -96,6 +96,9 @@ func TestParseSpecRejections(t *testing.T) {
 		"unknown model":     `{"id": "x", "kind": "attention", "models": ["gpt5"]}`,
 		"bad strategy":      `{"id": "x", "kind": "attention", "models": ["qwen"], "strategies": ["psychic"]}`,
 		"bad schedule":      `{"id": "x", "kind": "decoder", "models": ["qwen"], "strategies": ["static:zero"]}`,
+		"schedule suffix":   `{"id": "x", "kind": "decoder", "models": ["qwen"], "strategies": ["static:16abc"]}`,
+		"fractional tile":   `{"id": "x", "kind": "decoder", "models": ["qwen"], "strategies": ["static:16.5"]}`,
+		"underscored tile":  `{"id": "x", "kind": "decoder", "models": ["qwen"], "strategies": ["static:1_6"]}`,
 		"bad variance":      `{"id": "x", "kind": "attention", "models": ["qwen"], "kv_variance": "extreme"}`,
 		"bad group":         `{"id": "x", "kind": "attention", "models": ["qwen"], "groups": [{"count": 0, "kv_len": 5}]}`,
 		"compare needs two": `{"id": "x", "kind": "attention", "models": ["qwen"], "compare": true, "strategies": ["dynamic"]}`,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"step/internal/trace"
@@ -542,8 +543,8 @@ func parseSchedule(name string) (decoderSchedule, error) {
 		return decoderSchedule{label: name, moeDynamic: true, attn: workloads.DynamicParallel}, nil
 	}
 	if rest, ok := strings.CutPrefix(lower, "static:"); ok {
-		var tile int
-		if _, err := fmt.Sscanf(rest, "%d", &tile); err != nil || tile < 1 {
+		tile, err := strconv.Atoi(rest)
+		if err != nil || tile < 1 {
 			return decoderSchedule{}, fmt.Errorf("bad static schedule %q (want static:<tile>)", name)
 		}
 		return decoderSchedule{label: name, moeTile: tile, attn: workloads.StaticInterleaved}, nil

@@ -74,10 +74,24 @@ type DecoderResult struct {
 	TrafficBytes int64
 }
 
-// RunDecoder simulates the end-to-end decoder under the given schedule.
-func RunDecoder(cfg DecoderConfig, runCfg graph.Config) (DecoderResult, error) {
+// AttentionStage is one simulated decoder attention stage (QKV fused).
+// It depends only on the model, the KV-length trace, the attention
+// strategy and its regions, never on the layer, so one simulation
+// stands in for every sampled layer and for every MoE schedule that
+// shares the attention schedule.
+type AttentionStage struct {
+	Result graph.Result
+	// OnchipBytes evaluates the stage's §4.2 on-chip equation.
+	OnchipBytes int64
+	// AllocatedComputeBW is the FLOPs/cycle the stage allocates.
+	AllocatedComputeBW int64
+}
+
+// withDefaults validates cfg and fills the SampleLayers and AttnRegions
+// defaults.
+func (cfg DecoderConfig) withDefaults() (DecoderConfig, error) {
 	if err := cfg.Model.Validate(); err != nil {
-		return DecoderResult{}, err
+		return cfg, err
 	}
 	if cfg.SampleLayers < 1 {
 		cfg.SampleLayers = 2
@@ -86,29 +100,57 @@ func RunDecoder(cfg DecoderConfig, runCfg graph.Config) (DecoderResult, error) {
 		cfg.AttnRegions = 4
 	}
 	if len(cfg.KVLens) != cfg.Batch {
-		return DecoderResult{}, fmt.Errorf("workloads: %d KV lengths for batch %d", len(cfg.KVLens), cfg.Batch)
+		return cfg, fmt.Errorf("workloads: %d KV lengths for batch %d", len(cfg.KVLens), cfg.Batch)
+	}
+	return cfg, nil
+}
+
+// SimulateAttentionStage builds and runs the attention stage of cfg's
+// decoder once. Its MoE fields are ignored.
+func SimulateAttentionStage(cfg DecoderConfig, runCfg graph.Config) (AttentionStage, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return AttentionStage{}, err
+	}
+	attn, err := BuildAttention(AttentionConfig{
+		Model:      cfg.Model,
+		KVLens:     cfg.KVLens,
+		Strategy:   cfg.AttnStrategy,
+		Regions:    cfg.AttnRegions,
+		KVChunk:    64,
+		IncludeQKV: true,
+	})
+	if err != nil {
+		return AttentionStage{}, fmt.Errorf("workloads: attention: %w", err)
+	}
+	sess, err := attn.Program.Run(graph.WithConfig(runCfg))
+	if err != nil {
+		return AttentionStage{}, fmt.Errorf("workloads: attention: %w", err)
+	}
+	onchip, err := attn.Graph.SymbolicOnchipBytes().Eval(nil)
+	if err != nil {
+		// Attention graphs have only static dims in their equations;
+		// a symbol here is a bug.
+		return AttentionStage{}, fmt.Errorf("workloads: attention onchip: %w", err)
+	}
+	return AttentionStage{
+		Result:             sess.Result,
+		OnchipBytes:        onchip,
+		AllocatedComputeBW: attn.Graph.AllocatedComputeBW(),
+	}, nil
+}
+
+// RunDecoderLayers simulates cfg.SampleLayers MoE layers, each with its
+// own routing trace, and adds attn (cfg's attention stage, from
+// SimulateAttentionStage) to every one of them.
+func RunDecoderLayers(cfg DecoderConfig, attn AttentionStage, runCfg graph.Config) (DecoderResult, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return DecoderResult{}, err
 	}
 	var out DecoderResult
 	var sumCycles des.Time
 	for layer := 0; layer < cfg.SampleLayers; layer++ {
-		// Attention stage (QKV fused).
-		attn, err := BuildAttention(AttentionConfig{
-			Model:      cfg.Model,
-			KVLens:     cfg.KVLens,
-			Strategy:   cfg.AttnStrategy,
-			Regions:    cfg.AttnRegions,
-			KVChunk:    64,
-			IncludeQKV: true,
-		})
-		if err != nil {
-			return out, fmt.Errorf("workloads: layer %d attention: %w", layer, err)
-		}
-		attnSess, err := attn.Program.Run(graph.WithConfig(runCfg))
-		if err != nil {
-			return out, fmt.Errorf("workloads: layer %d attention: %w", layer, err)
-		}
-
-		// MoE stage with a layer-specific routing trace.
 		routing, err := trace.SampleExpertRouting(cfg.Batch, cfg.Model.NumExperts, cfg.Model.TopK,
 			cfg.Skew, cfg.Seed+uint64(layer)*977)
 		if err != nil {
@@ -131,28 +173,32 @@ func RunDecoder(cfg DecoderConfig, runCfg graph.Config) (DecoderResult, error) {
 			return out, fmt.Errorf("workloads: layer %d moe: %w", layer, err)
 		}
 
-		attnRes, moeRes := attnSess.Result, moeSess.Result
-		layerCycles := attnRes.Cycles + moeRes.Cycles
+		moeRes := moeSess.Result
+		layerCycles := attn.Result.Cycles + moeRes.Cycles
 		out.CyclesPerLayer = append(out.CyclesPerLayer, layerCycles)
 		sumCycles += layerCycles
-		out.TrafficBytes += attnRes.OffchipTrafficBytes + moeRes.OffchipTrafficBytes
+		out.TrafficBytes += attn.Result.OffchipTrafficBytes + moeRes.OffchipTrafficBytes
 		if layer == 0 {
 			moeOnchip, err := moe.OnchipBytes()
 			if err != nil {
 				return out, err
 			}
-			attnOnchip, err := attn.Graph.SymbolicOnchipBytes().Eval(nil)
-			if err != nil {
-				// Attention graphs have only static dims in their
-				// equations; a symbol here is a bug.
-				return out, fmt.Errorf("workloads: attention onchip: %w", err)
-			}
-			out.OnchipBytes = moeOnchip + attnOnchip
-			out.AllocatedComputeBW = moe.Graph.AllocatedComputeBW() + attn.Graph.AllocatedComputeBW()
+			out.OnchipBytes = moeOnchip + attn.OnchipBytes
+			out.AllocatedComputeBW = moe.Graph.AllocatedComputeBW() + attn.AllocatedComputeBW
 		}
 	}
 	layers := des.Time(cfg.Model.Layers)
 	out.CyclesTotal = sumCycles / des.Time(cfg.SampleLayers) * layers
 	out.TrafficBytes = out.TrafficBytes / int64(cfg.SampleLayers) * int64(cfg.Model.Layers)
 	return out, nil
+}
+
+// RunDecoder simulates the end-to-end decoder under the given schedule:
+// the attention stage once, then every sampled MoE layer on top of it.
+func RunDecoder(cfg DecoderConfig, runCfg graph.Config) (DecoderResult, error) {
+	attn, err := SimulateAttentionStage(cfg, runCfg)
+	if err != nil {
+		return DecoderResult{}, err
+	}
+	return RunDecoderLayers(cfg, attn, runCfg)
 }

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"reflect"
 	"testing"
 
 	"step/internal/graph"
@@ -115,6 +116,43 @@ func TestRunDecoderVariants(t *testing.T) {
 	}
 	if len(static.CyclesPerLayer) != 1 {
 		t.Fatalf("per-layer cycles %v", static.CyclesPerLayer)
+	}
+}
+
+// TestAttentionStageSharedAcrossSchedules: an attention stage simulated
+// under one MoE schedule stands in for another schedule with the same
+// attention strategy, and every sampled layer adds that one stage.
+func TestAttentionStageSharedAcrossSchedules(t *testing.T) {
+	m := Qwen3Config().Scaled(8)
+	m.Layers = 4
+	base := DecoderConfig{
+		Model: m, Batch: 16, KVLens: trace.SampleKVLengths(16, 512, trace.VarMed, 3),
+		AttnStrategy: StaticInterleaved, SampleLayers: 2, Skew: trace.SkewHeavy, Seed: 5,
+	}
+	tile16, tile64 := base, base
+	tile16.MoETile, tile64.MoETile = 16, 64
+	stage, err := SimulateAttentionStage(tile16, graph.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := RunDecoderLayers(tile64, stage, graph.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := RunDecoder(tile64, graph.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(shared, own) {
+		t.Fatalf("shared stage %+v, own stage %+v", shared, own)
+	}
+	if len(own.CyclesPerLayer) != 2 {
+		t.Fatalf("per-layer cycles %v", own.CyclesPerLayer)
+	}
+	for _, c := range own.CyclesPerLayer {
+		if c <= stage.Result.Cycles {
+			t.Fatalf("layer cycles %d do not exceed the attention stage's %d", c, stage.Result.Cycles)
+		}
 	}
 }
 
